@@ -10,7 +10,7 @@ itself, and the posterior collapses onto it.
 import numpy as np
 
 from privregion.core import BetaParams, Point, make_rng
-from privregion.inference import AttackConfig, UniqueCenter, attack, recover_center
+from privregion.inference import UniqueCenter, attack, recover_center
 from privregion.strategies import (
     RandomRadius,
     TwoBalls,
@@ -30,23 +30,24 @@ print(f"true home: ({home.x}, {home.y})")
 print(f"two-balls: attacker recovers the shared center exactly at "
       f"({center.center.x:.3f}, {center.center.y:.3f})")
 
-cfg = AttackConfig(n_keep=2000)
-rep_tb = attack(obs_tb, home, rng, cfg)
+rep_tb = attack(obs_tb, home, rng)
 m = rep_tb.posterior_mean
 print(f"  posterior mean ({m.x:.3f}, {m.y:.3f}), posterior MSE "
       f"{rep_tb.posterior_mse:.3f} = bias^2 {rep_tb.bias2:.3f} + var {rep_tb.variance:.3f}")
-print(f"  sampler: R-hat {max(rep_tb.samples.r_hat[:2]):.3f}, "
-      f"ESS {min(rep_tb.samples.ess[:2]):.0f}, {rep_tb.wall_time * 1e3:.0f} ms")
+print(f"  quadrature: {rep_tb.grids} grid(s) of {rep_tb.nodes}x{rep_tb.nodes}, "
+      f"edge mass {rep_tb.edge_mass:.2g}, {rep_tb.wall_time * 1e3:.1f} ms")
 
 # same utility cost, per-trajectory regions centered on the home
 cal = calibrate_random_radius(tb, 100_000, make_rng(1))
 rr = RandomRadius(cal.matched_gamma)
 obs_rr = generate_observations(home, rr, n, rng)
-rep_rr = attack(obs_rr, home, rng, cfg)
+rep_rr = attack(obs_rr, home, rng)
 m = rep_rr.posterior_mean
 print(f"random-radius at matched SP moments:")
 print(f"  posterior mean ({m.x:.3f}, {m.y:.3f}), posterior MSE "
       f"{rep_rr.posterior_mse:.3f}")
+print(f"  quadrature: {rep_rr.grids} grid(s) of {rep_rr.nodes}x{rep_rr.nodes}, "
+      f"edge mass {rep_rr.edge_mass:.2g}, {rep_rr.wall_time * 1e3:.1f} ms")
 
 ratio = rep_tb.posterior_mse / rep_rr.posterior_mse
 print(f"\nsame average perturbation, {ratio:.1f}x more residual "

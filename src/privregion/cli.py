@@ -1,7 +1,7 @@
 """Command-line front end: study runners plus one-off attack/obfuscate tools.
 
 Exit codes: 0 on success, 2 on configuration or input-format errors, 3 on
-numerical failures (sampler diagnostics, degenerate geometry, step budget).
+numerical failures (quadrature guards, degenerate geometry, step budget).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .core import BetaParams, GammaParams, Point, derive_rng
 from .experiments import (
+    _TASK_ATTACK,
     ConfigError,
     load_config,
     run_bench,
@@ -20,14 +21,7 @@ from .experiments import (
     run_obfuscate,
     run_table1,
 )
-from .inference import (
-    AdaptationFailed,
-    DiagnosticsFailed,
-    InconsistentExits,
-    NoIntersection,
-    NonFiniteInit,
-    attack,
-)
+from .inference import DiagnosticsFailed, InconsistentExits, NoIntersection, attack
 from .strategies import (
     DegenerateVariance,
     FixedRadius,
@@ -40,15 +34,11 @@ from .trajectory import MaxStepsExceeded, TrackFormatError
 _CONFIG_ERRORS = (ConfigError, TrackFormatError, OSError)
 _NUMERICAL_ERRORS = (
     DiagnosticsFailed,
-    AdaptationFailed,
-    NonFiniteInit,
     MaxStepsExceeded,
     DegenerateVariance,
     InconsistentExits,
     NoIntersection,
 )
-
-_TASK_ATTACK = 4  # stream path code, shared convention with experiments
 
 
 def _add_common(p: argparse.ArgumentParser, replicates: bool = True) -> None:
@@ -168,13 +158,8 @@ def _cmd_attack(args) -> int:
     print(f"posterior_mean={rep.posterior_mean.x!r},{rep.posterior_mean.y!r}")
     print(f"posterior_mse={rep.posterior_mse!r}")
     print(f"bias2={rep.bias2!r} variance={rep.variance!r}")
-    if rep.samples is not None:
-        s = rep.samples
-        print(
-            f"acceptance={s.acceptance_rate:.3f} "
-            f"r_hat={s.r_hat[0]:.4f},{s.r_hat[1]:.4f} "
-            f"ess={s.ess[0]:.0f},{s.ess[1]:.0f}"
-        )
+    if rep.grids:
+        print(f"grid={rep.nodes}x{rep.nodes} grids={rep.grids} edge_mass={rep.edge_mass:.3g}")
     print(f"wall_time={rep.wall_time:.3f}s")
     if args.out is not None:
         out = Path(args.out)

@@ -545,6 +545,7 @@ def run_bench(config: ScenarioConfig) -> BenchResult:
 
 
 _CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
+_SAMPLER_KEYS = {f.name for f in fields(AttackConfig)}
 
 
 def _parse_setting(d) -> TwoBalls:
@@ -587,6 +588,9 @@ def load_config(path=None, **overrides) -> ScenarioConfig:
             s if isinstance(s, TwoBalls) else _parse_setting(s) for s in data["settings"]
         )
     if "sampler" in data and isinstance(data["sampler"], dict):
+        unknown = set(data["sampler"]) - _SAMPLER_KEYS
+        if unknown:
+            raise ConfigError(f"unknown sampler config keys: {sorted(unknown)}")
         try:
             data["sampler"] = AttackConfig(**data["sampler"])
         except (TypeError, ValueError) as e:

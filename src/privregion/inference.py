@@ -10,10 +10,21 @@ unnormalized posterior:
   plus the product of disk exit densities; the shared center c is itself
   pinned down by the exits (exactly, for three or more).
 
-Sampling is adaptive random-walk Metropolis with split-R-hat and ESS
-diagnostics. A midpoint-rule grid quadrature provides an independent
-posterior oracle for testing and for the two-center mixture weights.
-Fixed-radius regions need no sampling at all: three exits determine theta.
+Every attack integrates its posterior with the midpoint rule on a grid
+(`grid_posterior`), so it is deterministic and exact up to the grid. The
+windows come from attacker-visible data: the known support square for
+two-balls, the Laplace approximation at the Newton mode or a Gamma-quantile
+box around the exits for random-radius. A window is refined when the
+posterior sd spans too few cells, and an attack fails with
+`DiagnosticsFailed` when a window truncates visible mass. For two-balls the
+exits enter through sufficient statistics: the Fourier coefficients of the
+Poisson kernel, so a grid point costs the same whatever the exit count.
+Fixed-radius regions need no integration at all: three exits determine
+theta.
+
+`rwm_sample`, `split_r_hat` and `effective_sample_size` (adaptive
+Metropolis and its diagnostics) stay available as general tools; no attack
+uses them.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, gammaln
+from scipy.special import betaln, gammainccinv, gammaln
 
 from .core import Point, as_xy, circumcenter, fit_circle_center, max_area_triple
 from .strategies import ExitObservationSet, FixedRadius, RandomRadius, TwoBalls
@@ -63,6 +74,41 @@ SQ_DIST_FLOOR = 1e-12
 # the center is trusted; in the exact model the residual is float noise.
 CENTER_FIT_RTOL = 1e-6
 
+# Largest number of (grid point, exit) pairs a log-target evaluates at once:
+# grid_posterior sizes its blocks by it, so memory does not grow with the
+# exit count. At 2^14 pairs (128 KB per float array) the random-radius
+# target's five temporaries stay in a 1 MB L2 cache: 2.7 ns per pair on a
+# 2-core AMD EPYC, against 5.3 ns at 2^15 and 7.1 ns at 2^17.
+PAIR_BUDGET = 2**14
+
+# The Poisson-kernel series keeps K terms, (r/R)^K <= SERIES_TOL: below the
+# rounding of any float it is added to.
+SERIES_TOL = 1e-17
+
+# A Laplace window spans +- WINDOW_SD posterior sd (a Gaussian tail of
+# e^-32). A window is refined when the posterior sd spans fewer than
+# MIN_CELLS_PER_SD cells (the midpoint rule's error on a smooth peak falls
+# like exp(-2 pi^2 (sd/cell)^2), about e^-79 at 2 cells), at most
+# MAX_REFINES times, onto the cells that each hold at least REFINE_CELL_MASS
+# of the mass: together the others hold under 1e-10 at any node count used,
+# and a minor mode far from the mean is kept. EDGE_MASS_MAX is the largest
+# share of mass the outermost ring of cells may hold where a window cuts
+# the support.
+WINDOW_SD = 8.0
+MIN_CELLS_PER_SD = 2.0
+MAX_REFINES = 3
+REFINE_CELL_MASS = 1e-16
+EDGE_MASS_MAX = 1e-4
+
+# Random-radius windows. The fallback box keeps theta within the upper
+# RR_TAIL quantile of one region's radius of every exit. The Laplace window
+# (mode +- WINDOW_SD sd) is used only when the posterior sd is at most
+# LAPLACE_SD_RATIO times the sd of one region's radius: then every exit's
+# ring-shaped factor is close to linear across the peak. Wider posteriors
+# (small n) can be ring-shaped or multimodal and get the fallback box.
+RR_TAIL = 1e-12
+LAPLACE_SD_RATIO = 0.25
+
 
 class NonFiniteInit(ValueError):
     """The sampler was started where the log-target is not finite."""
@@ -73,7 +119,8 @@ class AdaptationFailed(RuntimeError):
 
 
 class DiagnosticsFailed(RuntimeError):
-    """A configured R-hat or ESS gate rejected the sampler output."""
+    """A quadrature guard failed: the window truncated visible mass, or the
+    posterior stayed narrower than the grid could resolve."""
 
 
 class InconsistentExits(ValueError):
@@ -146,21 +193,19 @@ class PosteriorSamples:
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """Sampler and diagnostics settings shared by all strategy attacks."""
+    """Quadrature setting shared by all strategy attacks.
 
-    n_chains: int = 4
-    n_burn: int = 1000
-    n_keep: int = 1000
-    target_accept: float = 0.234
-    rhat_max: float | None = None
-    ess_min: float | None = None
-    quad_nodes: int = 400
+    quad_nodes is the number of midpoint nodes per axis of every grid
+    (refinements may double it). The default is measured: against 400^2
+    grids over the six study settings at n = 3 to 1600, the largest
+    two-balls MSE gap is 9e-4 at 64 nodes, 2e-3 at 48 and 3e-3 at 32
+    (the support disk cuts grid cells); random-radius gaps stay below
+    1e-10 at 64 nodes and reach 4e-4 at 32.
+    """
+
+    quad_nodes: int = 64
 
     def __post_init__(self) -> None:
-        if self.n_chains < 2 or self.n_burn < 1 or self.n_keep < 4:
-            raise ValueError("need >= 2 chains, >= 1 burn step, >= 4 kept draws")
-        if not 0.0 < self.target_accept < 1.0:
-            raise ValueError(f"target acceptance must be in (0,1), got {self.target_accept}")
         if self.quad_nodes < 16:
             raise ValueError(f"quad_nodes too small: {self.quad_nodes}")
 
@@ -169,23 +214,33 @@ class AttackConfig:
 class AttackReport:
     """Outcome of one attack: posterior location estimate and its MSE.
 
-    samples is None when no Metropolis run was involved (fixed-radius
-    recovery is exact; the two-center mixture is integrated by quadrature).
+    edge_mass is the largest share of posterior mass found in the outermost
+    ring of cells wherever a quadrature window cut the posterior's support
+    (0 when every window held the whole support); grids counts the grids
+    integrated and nodes is the most nodes per axis any of them had.
+    Fixed-radius recovery is exact and integrates none.
     """
 
     posterior_mean: Point
     posterior_mse: float
     bias2: float
     variance: float
-    samples: PosteriorSamples | None
+    edge_mass: float
+    grids: int
+    nodes: int
     wall_time: float
 
     def __post_init__(self) -> None:
-        vals = (self.posterior_mse, self.bias2, self.variance, self.wall_time)
+        vals = (self.posterior_mse, self.bias2, self.variance, self.edge_mass, self.wall_time)
         if not all(math.isfinite(v) for v in vals):
             raise ValueError(f"report fields must be finite, got {vals}")
         if self.posterior_mse < 0.0 or self.bias2 < 0.0 or self.variance < 0.0:
             raise ValueError("mse, bias2 and variance must be >= 0")
+        if not 0.0 <= self.edge_mass <= 1.0 or self.grids < 0 or self.nodes < 0:
+            raise ValueError(
+                f"need edge mass in [0, 1] and grids, nodes >= 0, got "
+                f"{self.edge_mass}, {self.grids}, {self.nodes}"
+            )
         gap = abs(self.posterior_mse - (self.bias2 + self.variance))
         if gap > 1e-9 * max(self.posterior_mse, 1e-12):
             raise ValueError(f"mse != bias2 + variance (gap {gap:g})")
@@ -238,10 +293,13 @@ def _theta_batch(theta) -> tuple[np.ndarray, bool]:
 
 
 def _rr_logpost(pts: np.ndarray, z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    sep2 = ((pts[:, None, :] - z[None, :, :]) ** 2).sum(axis=2)
-    s = np.maximum(sep2, SQ_DIST_FLOOR)
+    dx = pts[:, 0:1] - z[:, 0]
+    dy = pts[:, 1:2] - z[:, 1]
+    s = dx * dx
+    s += dy * dy
+    np.maximum(s, SQ_DIST_FLOOR, out=s)
     const = len(z) * (alpha * math.log(beta) - float(gammaln(alpha)) - math.log(math.pi))
-    return const + ((alpha - 1.0) * np.log(s) - beta * s).sum(axis=1)
+    return const + (alpha - 1.0) * np.log(s).sum(axis=1) - beta * s.sum(axis=1)
 
 
 def rr_log_posterior(theta, obs: ExitObservationSet):
@@ -258,34 +316,98 @@ def rr_log_posterior(theta, obs: ExitObservationSet):
     return float(out[0]) if single else out
 
 
-def _tb_logpost(
-    pts: np.ndarray,
-    centers,
-    z: np.ndarray,
-    r: float,
-    R: float,
-    alpha: float,
-    beta: float,
-) -> np.ndarray:
-    c = np.broadcast_to(np.atleast_2d(np.asarray(centers, dtype=float)), pts.shape)
-    t2 = ((pts - c) ** 2).sum(axis=1)
-    out = np.full(len(pts), -np.inf)
-    inside = t2 < r * r
-    if not inside.any():
-        return out
-    p = pts[inside]
-    t2i = t2[inside]
-    u = np.clip(t2i / (r * r), 1e-15, 1.0 - 1e-15)
-    prior = (
-        (alpha - 1.0) * np.log(u)
-        + (beta - 1.0) * np.log1p(-u)
-        - float(betaln(alpha, beta))
+def _series_terms(z: np.ndarray, c: np.ndarray, r: float) -> int | None:
+    """Terms K the Poisson-kernel series needs on the disk |theta - c| < r.
+
+    None when an exit lies within r of c, where the series diverges.
+    """
+    rho = r / float(np.sqrt(((z - c) ** 2).sum(axis=1)).min())
+    if not rho < 1.0:
+        return None
+    return max(1, math.ceil(math.log(SERIES_TOL) / math.log(rho)))
+
+
+def _sep_series(z: np.ndarray, c: np.ndarray, K: int):
+    """sum_i log|z_i - theta|^2 for theta near c, from K Fourier terms.
+
+    In complex numbers, with u_i = z_i - c, s the mean |u_i|, v_i = s/u_i
+    and w = (theta - c)/s: log|z_i - theta|^2 = log|u_i|^2 + log|1 - w v_i|^2
+    and log|1 - x|^2 = -2 Re sum_k x^k/k. So the sum is
+    sum_i log|u_i|^2 - 2 Re sum_k (w^k/k) S_k with S_k = sum_i v_i^k, the
+    Fourier coefficients of the exits' Poisson kernel. They are computed
+    once; each theta then costs O(K) whatever the exit count. The
+    truncation error is below n rho^(K+1) / (1 - rho), rho = max |w v_i|,
+    which K from _series_terms keeps under float rounding.
+    """
+    u = (z[:, 0] - c[0]) + 1j * (z[:, 1] - c[1])
+    scale = float(np.abs(u).mean())
+    v = scale / u
+    const = float(np.log(u.real**2 + u.imag**2).sum())
+    coef = np.empty(K, dtype=complex)
+    power = np.ones_like(v)
+    for k in range(K):
+        power *= v
+        coef[k] = power.sum() / (k + 1)
+
+    def sep(pts: np.ndarray) -> np.ndarray:
+        w = ((pts[:, 0] - c[0]) + 1j * (pts[:, 1] - c[1])) / scale
+        acc = np.full(len(w), coef[-1])
+        for a in coef[-2::-1]:
+            acc *= w
+            acc += a
+        return const - 2.0 * (acc * w).real
+
+    return sep
+
+
+def _sep_direct(z: np.ndarray):
+    """sum_i log|z_i - theta|^2 by the direct sum over exits."""
+
+    def sep(pts: np.ndarray) -> np.ndarray:
+        dx = pts[:, 0:1] - z[:, 0]
+        dy = pts[:, 1:2] - z[:, 1]
+        s = dx * dx
+        s += dy * dy
+        return np.log(np.maximum(s, 1e-300)).sum(axis=1)
+
+    return sep
+
+
+def _tb_target(z: np.ndarray, c: np.ndarray, r: float, R: float, alpha: float, beta: float):
+    """(log target, pairs per point) of two-balls with center c known.
+
+    The exit term goes through the Fourier series when it needs fewer terms
+    than there are exits, and through the direct sum otherwise.
+    """
+    n = len(z)
+    K = _series_terms(z, c, r)
+    if K is not None and K < n:
+        sep, width = _sep_series(z, c, K), 1
+    else:
+        sep, width = _sep_direct(z), n
+    const = (
+        -float(betaln(alpha, beta))
         - math.log(math.pi * r * r)
+        - n * math.log(2.0 * math.pi * R)
     )
-    sep2 = np.maximum(((p[:, None, :] - z[None, :, :]) ** 2).sum(axis=2), 1e-300)
-    harm = len(z) * (np.log(R * R - t2i) - math.log(2.0 * math.pi * R)) - np.log(sep2).sum(axis=1)
-    out[inside] = prior + harm
-    return out
+
+    def target(pts: np.ndarray) -> np.ndarray:
+        t2 = ((pts - c) ** 2).sum(axis=1)
+        out = np.full(len(pts), -np.inf)
+        inside = t2 < r * r
+        if inside.any():
+            t2i = t2[inside]
+            u = np.clip(t2i / (r * r), 1e-15, 1.0 - 1e-15)
+            out[inside] = (
+                const
+                + (alpha - 1.0) * np.log(u)
+                + (beta - 1.0) * np.log1p(-u)
+                + n * np.log(R * R - t2i)
+                - sep(pts[inside])
+            )
+        return out
+
+    return target, width
 
 
 def tb_log_posterior(theta, c, obs: ExitObservationSet):
@@ -299,9 +421,10 @@ def tb_log_posterior(theta, c, obs: ExitObservationSet):
     if not isinstance(spec, TwoBalls):
         raise TypeError(f"observations carry {type(spec).__name__}, not TwoBalls")
     pts, single = _theta_batch(theta)
-    out = _tb_logpost(
-        pts, as_xy(c), obs.positions, spec.r, spec.R, spec.beta.alpha, spec.beta.beta
+    target, _ = _tb_target(
+        obs.positions, as_xy(c), spec.r, spec.R, spec.beta.alpha, spec.beta.beta
     )
+    out = target(pts)
     return float(out[0]) if single else out
 
 
@@ -507,12 +630,43 @@ class GridPosterior:
         variance = float(np.trace(self.cov))
         return bias2 + variance, bias2, variance
 
+    def edge_mass(self, sides=(True, True, True, True)) -> float:
+        """Share of the mass in the outermost cells along the flagged sides
+        (x0, x1, y0, y1): how much a window that cuts the posterior there
+        may have truncated."""
+        w = np.exp(self.log_density - self.log_density.max())
+        ring = np.zeros(w.shape, dtype=bool)
+        lo_x, hi_x, lo_y, hi_y = sides
+        ring[0, :] |= lo_x
+        ring[-1, :] |= hi_x
+        ring[:, 0] |= lo_y
+        ring[:, -1] |= hi_y
+        return float(w[ring].sum() / w.sum())
 
-def grid_posterior(log_target, window, n: int = 400, block_rows: int = 64) -> GridPosterior:
+    def mass_box(self, share: float) -> tuple[float, float, float, float]:
+        """Box of the cells holding at least `share` of the mass each,
+        padded by one cell."""
+        w = np.exp(self.log_density - self.log_density.max())
+        held = w >= share * w.sum()
+        ix = np.nonzero(held.any(axis=1))[0]
+        iy = np.nonzero(held.any(axis=0))[0]
+        hx = self.xs[1] - self.xs[0]
+        hy = self.ys[1] - self.ys[0]
+        return (
+            float(self.xs[ix[0]] - 1.5 * hx),
+            float(self.xs[ix[-1]] + 1.5 * hx),
+            float(self.ys[iy[0]] - 1.5 * hy),
+            float(self.ys[iy[-1]] + 1.5 * hy),
+        )
+
+
+def grid_posterior(log_target, window, n: int = 400, pairs_per_point: int = 1) -> GridPosterior:
     """Evaluate log_target on an n x n midpoint grid and integrate.
 
-    window is (x0, x1, y0, y1). Evaluation runs in row blocks to bound the
-    memory of targets that expand an (m, n_exits) pair matrix.
+    window is (x0, x1, y0, y1); log_target maps an (m, 2) array of points
+    to m log densities. pairs_per_point is how many (point, exit) pairs the
+    target expands per point; the grid is evaluated in blocks of at most
+    PAIR_BUDGET pairs, so memory stays bounded whatever the exit count.
     """
     x0, x1, y0, y1 = (float(v) for v in window)
     if not (x1 > x0 and y1 > y0):
@@ -521,13 +675,14 @@ def grid_posterior(log_target, window, n: int = 400, block_rows: int = 64) -> Gr
     dy = (y1 - y0) / n
     xs = x0 + (np.arange(n) + 0.5) * dx
     ys = y0 + (np.arange(n) + 0.5) * dy
-    logd = np.empty((n, n))
-    for lo in range(0, n, block_rows):
-        hi = min(lo + block_rows, n)
-        pts = np.column_stack(
-            [np.repeat(xs[lo:hi], n), np.tile(ys, hi - lo)]
-        )
-        logd[lo:hi, :] = np.asarray(log_target(pts)).reshape(hi - lo, n)
+    gx = np.repeat(xs, n)
+    gy = np.tile(ys, n)
+    block = max(1, PAIR_BUDGET // max(1, pairs_per_point))
+    logd = np.empty(n * n)
+    for lo in range(0, n * n, block):
+        pts = np.column_stack([gx[lo : lo + block], gy[lo : lo + block]])
+        logd[lo : lo + block] = log_target(pts)
+    logd = logd.reshape(n, n)
     peak = float(logd.max())
     if not math.isfinite(peak):
         raise ValueError("log target is -inf (or nan) everywhere on the window")
@@ -552,31 +707,86 @@ def grid_posterior(log_target, window, n: int = 400, block_rows: int = 64) -> Gr
     )
 
 
+def _integrate(target, window, nodes: int, pairs_per_point: int, support=None):
+    """Grid posterior of target, refined until the posterior sd spans
+    MIN_CELLS_PER_SD cells. Each refinement integrates again on the cells
+    that hold mass (GridPosterior.mass_box), clipped to `support`, the box
+    the posterior lives in (None for the whole plane), with up to twice the
+    nodes when that box is still too wide for the sd, as for a multimodal
+    posterior.
+
+    Returns (grid, edge mass along the sides that cut the support, grids
+    integrated, nodes per axis). Raises DiagnosticsFailed when MAX_REFINES
+    refinements do not resolve the posterior.
+    """
+    for grids in range(1, MAX_REFINES + 2):
+        gp = grid_posterior(target, window, nodes, pairs_per_point)
+        cells = np.array([window[1] - window[0], window[3] - window[2]]) / nodes
+        sd = np.sqrt(np.diag(gp.cov))
+        if np.all(sd >= MIN_CELLS_PER_SD * cells):
+            if support is None:
+                sides = (True,) * 4
+            else:
+                sides = (
+                    window[0] > support[0],
+                    window[1] < support[1],
+                    window[2] > support[2],
+                    window[3] < support[3],
+                )
+            return gp, gp.edge_mass(sides), grids, nodes
+        window = gp.mass_box(REFINE_CELL_MASS)
+        if support is not None:
+            window = (
+                max(window[0], support[0]),
+                min(window[1], support[1]),
+                max(window[2], support[2]),
+                min(window[3], support[3]),
+            )
+        widths = np.array([window[1] - window[0], window[3] - window[2]])
+        wanted = math.ceil(MIN_CELLS_PER_SD * float((widths / np.maximum(sd, cells)).max()))
+        nodes = min(max(nodes, wanted), 2 * nodes)
+    raise DiagnosticsFailed(
+        f"posterior sd {sd.min():.3g} spans fewer than {MIN_CELLS_PER_SD:g} cells "
+        f"after {MAX_REFINES} refinements"
+    )
+
+
+def _check_edge(edge: float) -> None:
+    if not edge <= EDGE_MASS_MAX:
+        raise DiagnosticsFailed(
+            f"quadrature window truncates posterior mass: edge mass {edge:.3g} "
+            f"exceeds {EDGE_MASS_MAX:g}"
+        )
+
+
+def _reach_box(z: np.ndarray, reach: float) -> tuple[float, float, float, float]:
+    """Box of the points within `reach` of every exit, or of any exit when
+    no point is within reach of all of them."""
+    lo = z.max(axis=0) - reach
+    hi = z.min(axis=0) + reach
+    if np.any(lo >= hi):
+        lo, hi = z.min(axis=0) - reach, z.max(axis=0) + reach
+    return (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
+
+
 def quadrature_window(obs: ExitObservationSet, center: Point | None = None):
-    """Integration window for the oracle, from attacker-visible data only.
+    """Integration window that holds the whole posterior, from
+    attacker-visible data only.
 
     Two-balls posteriors live on the known support square around the
-    recovered center. Otherwise: centroid of the exits, half-width 6x the
-    posterior scale (max pairwise exit distance, floored by the strategy's
-    own length scale so a single exit still gets a usable window).
+    recovered center. Random-radius ones live where every exit is within
+    the upper RR_TAIL quantile of a region radius; fixed-radius ones where
+    every exit is within r_star.
     """
     spec = obs.strategy
     if isinstance(spec, TwoBalls):
         if center is None:
             raise ValueError("two-balls window needs the recovered center")
         return (center.x - spec.r, center.x + spec.r, center.y - spec.r, center.y + spec.r)
-    pts = obs.positions
-    mid = pts.mean(axis=0)
-    scale = 0.0
-    if len(pts) > 1:
-        diffs = pts[:, None, :] - pts[None, :, :]
-        scale = float(np.sqrt((diffs**2).sum(axis=2).max()))
     if isinstance(spec, RandomRadius):
-        scale = max(scale, math.sqrt(spec.gamma.mean))
-    elif isinstance(spec, FixedRadius):
-        scale = max(scale, spec.r_star)
-    half = 6.0 * scale
-    return (mid[0] - half, mid[0] + half, mid[1] - half, mid[1] + half)
+        a, b = spec.gamma.alpha, spec.gamma.beta
+        return _reach_box(obs.positions, math.sqrt(float(gammainccinv(a, RR_TAIL)) / b))
+    return _reach_box(obs.positions, spec.r_star)
 
 
 def _attack_fixed(obs: ExitObservationSet, theta_true):
@@ -585,113 +795,113 @@ def _attack_fixed(obs: ExitObservationSet, theta_true):
     disk = circumcenter(Point(*pts[i]), Point(*pts[j]), Point(*pts[k]))
     est = disk.center.as_array()
     bias2 = float(((est - as_xy(theta_true)) ** 2).sum())
-    return est, bias2, bias2, 0.0, None
+    return est, bias2, bias2, 0.0, 0.0, 0, 0
 
 
-def _attack_rr(obs: ExitObservationSet, theta_true, cfg: AttackConfig, rng):
+def _radius_sd(alpha: float, beta: float) -> float:
+    """sd of one random-radius region's radius r, r^2 ~ Gamma(alpha, beta)."""
+    mean_r2 = math.exp(2.0 * (float(gammaln(alpha + 0.5)) - float(gammaln(alpha))))
+    return math.sqrt(max(alpha - mean_r2, 0.0) / beta)
+
+
+def _rr_laplace(z: np.ndarray, alpha: float, beta: float):
+    """(mode, covariance) of the Laplace approximation to the random-radius
+    posterior, or None when Newton's method from the exit centroid does not
+    reach a strict local maximum.
+
+    Steps are capped at the RMS region radius; the log-likelihood
+    sum_i (alpha - 1) log s_i - beta s_i, s_i = |theta - z_i|^2, has
+    gradient 2 sum_i g_i d_i and Hessian sum_i 2 g_i I - 4 (alpha - 1)
+    d_i d_i^T / s_i^2, with d_i = theta - z_i and g_i = (alpha - 1)/s_i - beta.
+    """
+    mid = z.mean(axis=0)
+    zc = z - mid
+    scale = math.sqrt(alpha / beta)
+    t = np.zeros(2)
+    for _ in range(50):
+        d = t - zc
+        s = np.maximum((d * d).sum(axis=1), SQ_DIST_FLOOR)
+        g = (alpha - 1.0) / s - beta
+        grad = 2.0 * (g @ d)
+        hess = 2.0 * g.sum() * np.eye(2) - 4.0 * (alpha - 1.0) * (d.T / s**2) @ d
+        if np.linalg.eigvalsh(hess)[-1] >= 0.0:
+            return None
+        step = -np.linalg.solve(hess, grad)
+        size = math.hypot(*step)
+        if size <= 1e-10 * scale:
+            return mid + t, np.linalg.inv(-hess)
+        t = t + step * min(1.0, scale / size)
+    return None
+
+
+def _attack_rr(obs: ExitObservationSet, theta_true, cfg: AttackConfig):
+    spec = obs.strategy
+    a, b = spec.gamma.alpha, spec.gamma.beta
+    z = obs.positions
+    n = len(z)
+    target = lambda pts: _rr_logpost(pts, z, a, b)
+    grids = nodes = 0
+    laplace = _rr_laplace(z, a, b)
+    if laplace is not None:
+        mode, cov = laplace
+        sd = np.sqrt(np.diag(cov))
+        if sd.max() <= LAPLACE_SD_RATIO * _radius_sd(a, b):
+            lo, hi = mode - WINDOW_SD * sd, mode + WINDOW_SD * sd
+            window = (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
+            gp, edge, grids, nodes = _integrate(target, window, cfg.quad_nodes, n)
+            if edge <= EDGE_MASS_MAX:
+                return (gp.mean, *gp.mse_against(theta_true), edge, grids, nodes)
+    # Small n, or a posterior the Laplace window does not hold: integrate
+    # over every place the exits allow.
+    gp, edge, more, wide_nodes = _integrate(target, quadrature_window(obs), cfg.quad_nodes, n)
+    _check_edge(edge)
+    return (gp.mean, *gp.mse_against(theta_true), edge, grids + more, max(nodes, wide_nodes))
+
+
+def _attack_tb(obs: ExitObservationSet, theta_true, cfg: AttackConfig):
     spec = obs.strategy
     z = obs.positions
-    target = lambda pts: _rr_logpost(pts, z, spec.gamma.alpha, spec.gamma.beta)
-    samples = rwm_sample(
-        target,
-        z.mean(axis=0),
-        rng,
-        n_chains=cfg.n_chains,
-        n_burn=cfg.n_burn,
-        n_keep=cfg.n_keep,
-        target_accept=cfg.target_accept,
-        initial_step=math.sqrt(spec.gamma.mean / len(z)),
+    r, R, a, b = spec.r, spec.R, spec.beta.alpha, spec.beta.beta
+    est = recover_center(z, R)
+    t = as_xy(theta_true)
+
+    if isinstance(est, CenterArc):
+        # One exit: the center sits at c(psi) = z1 + R (cos psi, sin psi)
+        # for an unknown psi. In the offset q = rot(-psi) (theta - c(psi)),
+        # a change of variables with unit Jacobian, the posterior density
+        # depends on q alone (through |q| and |R + q|, the exit sitting at
+        # (-R, 0) from the center), so psi is uniform and independent of q.
+        # Then theta = z1 + rot(psi) ((R, 0) + q) has mean z1 and
+        # E|theta - z1|^2 = E|(R, 0) + q|^2: one 2-D grid over q.
+        square = (-r, r, -r, r)
+        target, width = _tb_target(np.array([[-R, 0.0]]), np.zeros(2), r, R, a, b)
+        gp, edge, grids, nodes = _integrate(target, square, cfg.quad_nodes, width, square)
+        _check_edge(edge)
+        bias2 = float(((z[0] - t) ** 2).sum())
+        variance = float((gp.mean[0] + R) ** 2 + gp.mean[1] ** 2 + np.trace(gp.cov))
+        return z[0], bias2 + variance, bias2, variance, edge, grids, nodes
+
+    # One center (n >= 3), or a pair of candidates (n = 2) whose posterior
+    # modes mix by their masses, by the law of total variance.
+    centers = (est.center,) if isinstance(est, UniqueCenter) else (est.plus, est.minus)
+    parts = []
+    for cpt in centers:
+        target, width = _tb_target(z, cpt.as_array(), r, R, a, b)
+        square = quadrature_window(obs, cpt)
+        parts.append(_integrate(target, square, cfg.quad_nodes, width, square))
+    edge = max(p[1] for p in parts)
+    _check_edge(edge)
+    posts = [p[0] for p in parts]
+    lm = np.array([g.log_mass for g in posts])
+    wts = np.exp(lm - lm.max())
+    wts /= wts.sum()
+    mean = sum(w * g.mean for w, g in zip(wts, posts))
+    bias2 = float(((mean - t) ** 2).sum())
+    variance = float(
+        sum(w * (np.trace(g.cov) + ((g.mean - mean) ** 2).sum()) for w, g in zip(wts, posts))
     )
-    mse, bias2, variance = posterior_mse(samples, theta_true)
-    return samples.theta_draws.mean(axis=0), mse, bias2, variance, samples
-
-
-def _tb_ring_init(target, c: np.ndarray, r: float) -> np.ndarray:
-    """Best starting point on a mid-support ring around the fitted center."""
-    angles = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    cand = c + 0.5 * r * np.column_stack([np.cos(angles), np.sin(angles)])
-    cand = np.vstack([cand, c])
-    lp = np.asarray(target(cand))
-    best = int(np.argmax(lp))
-    if not math.isfinite(float(lp[best])):
-        raise NonFiniteInit("no finite starting point near the recovered center")
-    return cand[best]
-
-
-def _attack_tb(obs: ExitObservationSet, theta_true, cfg: AttackConfig, rng):
-    spec = obs.strategy
-    z = obs.positions
-    est = recover_center(z, spec.R)
-    a, b = spec.beta.alpha, spec.beta.beta
-
-    if isinstance(est, UniqueCenter):
-        c = est.center.as_array()
-        target = lambda pts: _tb_logpost(pts, c, z, spec.r, spec.R, a, b)
-        samples = rwm_sample(
-            target,
-            _tb_ring_init(target, c, spec.r),
-            rng,
-            n_chains=cfg.n_chains,
-            n_burn=cfg.n_burn,
-            n_keep=cfg.n_keep,
-            target_accept=cfg.target_accept,
-            initial_step=spec.r / 4.0,
-        )
-        mse, bias2, variance = posterior_mse(samples, theta_true)
-        return samples.theta_draws.mean(axis=0), mse, bias2, variance, samples
-
-    if isinstance(est, CenterPair):
-        # Bimodal posterior, one mode per candidate center. Quadrature gives
-        # each mode's mass and moments exactly (up to the grid), so no
-        # Metropolis run is needed; moments mix by the law of total variance.
-        grids = []
-        for cpt in (est.plus, est.minus):
-            c = cpt.as_array()
-            gp = grid_posterior(
-                lambda pts: _tb_logpost(pts, c, z, spec.r, spec.R, a, b),
-                quadrature_window(obs, cpt),
-                n=cfg.quad_nodes,
-            )
-            grids.append(gp)
-        lm = np.array([g.log_mass for g in grids])
-        wts = np.exp(lm - lm.max())
-        wts /= wts.sum()
-        mean = wts[0] * grids[0].mean + wts[1] * grids[1].mean
-        t = as_xy(theta_true)
-        bias2 = float(((mean - t) ** 2).sum())
-        variance = float(
-            sum(
-                w * (np.trace(g.cov) + ((g.mean - mean) ** 2).sum())
-                for w, g in zip(wts, grids)
-            )
-        )
-        return mean, bias2 + variance, bias2, variance, None
-
-    # Single exit: the center is only known to sit on a circle around it,
-    # so sample (theta, psi) jointly with c(psi) = z1 + R (cos psi, sin psi).
-    z1 = z[0]
-    R = spec.R
-
-    def target(x: np.ndarray) -> np.ndarray:
-        ang = x[:, 2]
-        centers = z1 + R * np.column_stack([np.cos(ang), np.sin(ang)])
-        return _tb_logpost(x[:, :2], centers, z, spec.r, R, a, b)
-
-    c0 = z1 + np.array([R, 0.0])
-    th0 = c0 + 0.5 * spec.r * (z1 - c0) / R
-    samples = rwm_sample(
-        target,
-        np.array([th0[0], th0[1], 0.0]),
-        rng,
-        n_chains=cfg.n_chains,
-        n_burn=cfg.n_burn,
-        n_keep=cfg.n_keep,
-        target_accept=cfg.target_accept,
-        initial_step=spec.r / 4.0,
-        periodic={2: 2.0 * math.pi},
-    )
-    mse, bias2, variance = posterior_mse(samples, theta_true)
-    return samples.theta_draws.mean(axis=0), mse, bias2, variance, samples
+    grids = sum(p[2] for p in parts)
+    return mean, bias2 + variance, bias2, variance, edge, grids, max(p[3] for p in parts)
 
 
 def attack(
@@ -703,36 +913,34 @@ def attack(
     """Run the strategy-appropriate attack and score it against the truth.
 
     Fixed-radius: exact recovery through a well-conditioned exit triple.
-    Random-radius: Metropolis on the Gamma-likelihood posterior. Two-balls:
-    center recovery first, then Metropolis with the center fixed (n >= 3),
-    a quadrature mixture over the two candidate centers (n = 2), or an
-    augmented (theta, angle) sampler (n = 1).
+    Random-radius: quadrature on mode +- WINDOW_SD sd of the Laplace
+    approximation, or, for small n, on the box the exits allow. Two-balls:
+    center recovery first, then quadrature on the support square around the
+    center (n >= 3), a mixture over the two candidate centers (n = 2), or
+    one grid over the offset from the unknown center (n = 1).
+
+    Every attack is deterministic: rng is accepted so that all attacks
+    share one signature, and is never drawn from.
     """
     cfg = config if config is not None else AttackConfig()
     t0 = time.perf_counter()
     spec = obs.strategy
     if isinstance(spec, FixedRadius):
-        mean, mse, bias2, variance, samples = _attack_fixed(obs, theta_true)
+        parts = _attack_fixed(obs, theta_true)
     elif isinstance(spec, RandomRadius):
-        mean, mse, bias2, variance, samples = _attack_rr(obs, theta_true, cfg, rng)
+        parts = _attack_rr(obs, theta_true, cfg)
     elif isinstance(spec, TwoBalls):
-        mean, mse, bias2, variance, samples = _attack_tb(obs, theta_true, cfg, rng)
+        parts = _attack_tb(obs, theta_true, cfg)
     else:
         raise TypeError(f"unknown strategy spec {spec!r}")
-
-    if samples is not None:
-        if cfg.rhat_max is not None and max(samples.r_hat[:2]) > cfg.rhat_max:
-            raise DiagnosticsFailed(
-                f"split R-hat {max(samples.r_hat[:2]):.4f} exceeds {cfg.rhat_max}"
-            )
-        if cfg.ess_min is not None and min(samples.ess[:2]) < cfg.ess_min:
-            raise DiagnosticsFailed(f"ESS {min(samples.ess[:2]):.1f} below {cfg.ess_min}")
-
+    mean, mse, bias2, variance, edge, grids, nodes = parts
     return AttackReport(
         posterior_mean=Point(float(mean[0]), float(mean[1])),
         posterior_mse=mse,
         bias2=bias2,
         variance=variance,
-        samples=samples,
+        edge_mass=edge,
+        grids=grids,
+        nodes=nodes,
         wall_time=time.perf_counter() - t0,
     )

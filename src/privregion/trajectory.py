@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -260,7 +261,13 @@ def squared_perturbation(published: Trajectory | None, original: Trajectory) -> 
 
 
 def write_track(traj: Trajectory, path) -> None:
-    """Write a track as CSV with header ``t,x,y``, one sample per row, LF endings."""
+    """Write a track as CSV with header ``t,x,y``, one sample per row, LF endings.
+
+    An existing file is removed first rather than truncated: on ext4,
+    closing a truncated-and-rewritten file forces its data to disk, which
+    made reruns into the same directory up to 12 times slower.
+    """
+    Path(path).unlink(missing_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,x,y\n")
         for t, (x, y) in zip(traj.times, traj.positions):

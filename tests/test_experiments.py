@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from privregion.inference import AttackConfig
 from privregion.strategies import FixedRadius, TwoBalls
 from privregion.trajectory import Trajectory, read_track
 
-LIGHT_SAMPLER = AttackConfig(n_burn=200, n_keep=100)
+LIGHT_SAMPLER = AttackConfig(quad_nodes=32)
 
 
 def tiny_config(out_dir, **kw):
@@ -244,6 +245,15 @@ class TestRunObfuscate:
         i0 = int(np.searchsorted(orig.times, pub.times[0]))
         assert np.array_equal(orig.positions[i0 : i0 + len(pub)], pub.positions)
 
+    def test_rerun_into_same_directory_rewrites_identical_files(self, tracks, tmp_path):
+        out = tmp_path / "obf"
+        spec = TwoBalls(1.0, 3.0, BetaParams(4.0, 4.0))
+        first = run_obfuscate(list(tracks), Point(0.0, 0.0), spec, 9, out)
+        assert "crossing.csv" in first.files
+        blobs = {k: f.read_bytes() for k, f in first.files.items()}
+        second = run_obfuscate(list(tracks), Point(0.0, 0.0), spec, 9, out)
+        assert {k: f.read_bytes() for k, f in second.files.items()} == blobs
+
     def test_deterministic_given_seed(self, tracks, tmp_path):
         a = run_obfuscate(list(tracks), Point(0.0, 0.0), TwoBalls(1.0, 3.0, BetaParams(4.0, 4.0)), 9, tmp_path / "a")
         b = run_obfuscate(list(tracks), Point(0.0, 0.0), TwoBalls(1.0, 3.0, BetaParams(4.0, 4.0)), 9, tmp_path / "b")
@@ -271,7 +281,7 @@ class TestLoadConfig:
                     "master_seed": 5,
                     "n_replicates": 7,
                     "settings": [{"r": 1, "R": 3, "alpha": 4, "beta": 4}],
-                    "sampler": {"n_burn": 200, "n_keep": 100},
+                    "sampler": {"quad_nodes": 32},
                 }
             )
         )
@@ -279,7 +289,7 @@ class TestLoadConfig:
         assert cfg.master_seed == 5
         assert cfg.n_replicates == 7  # None override ignored
         assert cfg.settings == (TwoBalls(1.0, 3.0, BetaParams(4.0, 4.0)),)
-        assert cfg.sampler.n_burn == 200
+        assert cfg.sampler == AttackConfig(quad_nodes=32)
 
         cfg2 = load_config(p, n_replicates=2)
         assert cfg2.n_replicates == 2  # explicit override wins
@@ -293,6 +303,10 @@ class TestLoadConfig:
     def test_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown"):
             load_config(None, master_seed=1, replicates=3)
+        # the Metropolis settings are gone with the sampler
+        for key in ("n_chains", "n_burn", "n_keep", "target_accept", "rhat_max", "ess_min"):
+            with pytest.raises(ConfigError, match=f"unknown sampler config keys: \\['{key}'\\]"):
+                load_config(None, master_seed=1, sampler={key: 1})
 
     def test_bad_json_reports_line(self, tmp_path):
         p = tmp_path / "c.json"
@@ -331,7 +345,7 @@ class TestCli:
                     "sample_sizes": [5, 10],
                     "calibration_draws": 2000,
                     "bench_repeats": 1,
-                    "sampler": {"n_burn": 200, "n_keep": 100},
+                    "sampler": {"quad_nodes": 32},
                 }
             )
         )
@@ -394,7 +408,8 @@ class TestCli:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "posterior_mse=" in out and "acceptance=" in out
+        assert "posterior_mse=" in out and "edge_mass=" in out
+        assert re.search(r"^grid=\d+x\d+ grids=\d+ ", out, re.M)
 
     def test_attack_fixed_radius_writes_report(self, tmp_path, capsys):
         rc = main(
@@ -434,9 +449,12 @@ class TestCli:
         p.write_text(json.dumps({"master_seed": 1, "wat": True}))
         assert main(["calibrate", "--config", str(p)]) == 2
 
-    def test_diagnostics_failure_exit_code(self, tmp_path, capsys):
-        p = tmp_path / "c.json"
-        p.write_text(json.dumps({"master_seed": 3, "sampler": {"ess_min": 1e9}}))
+    def test_diagnostics_failure_exit_code(self, capsys, monkeypatch):
+        # a window that truncates posterior mass fails loudly: with no edge
+        # mass allowed, every open random-radius window truncates
+        from privregion import inference
+
+        monkeypatch.setattr(inference, "EDGE_MASS_MAX", 0.0)
         rc = main(
             [
                 "attack",
@@ -448,12 +466,19 @@ class TestCli:
                 "4",
                 "--n",
                 "6",
-                "--config",
-                str(p),
+                "--seed",
+                "3",
             ]
         )
         assert rc == 3
-        assert "DiagnosticsFailed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "DiagnosticsFailed" in err and "edge mass" in err
+
+    def test_sampler_keys_rejected(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"master_seed": 3, "sampler": {"ess_min": 1e9}}))
+        assert main(["calibrate", "--config", str(p)]) == 2
+        assert "ess_min" in capsys.readouterr().err
 
     def test_obfuscate(self, tmp_path, capsys):
         from privregion.trajectory import write_track
