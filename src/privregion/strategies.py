@@ -15,7 +15,7 @@ bit-identical under the same seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,6 +112,8 @@ class ExitObservationSet:
     strategy: StrategySpec
     exits: tuple[ExitPoint, ...]
     sps: np.ndarray
+    # (n, 2) exit coordinates, read-only; derived from `exits` once
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         exits = tuple(self.exits)
@@ -122,16 +124,15 @@ class ExitObservationSet:
             region = exits[0].region
             if any(e.region != region for e in exits):
                 raise ValueError("two-balls exits must share one region")
+        positions = np.array([[e.pos.x, e.pos.y] for e in exits], dtype=float)
         sps.setflags(write=False)
+        positions.setflags(write=False)
         object.__setattr__(self, "exits", exits)
         object.__setattr__(self, "sps", sps)
+        object.__setattr__(self, "positions", positions)
 
     def __len__(self) -> int:
         return len(self.exits)
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.array([[e.pos.x, e.pos.y] for e in self.exits])
 
     @property
     def shared_region(self) -> Disk:

@@ -13,8 +13,10 @@ the region starts the published track, with no boundary interpolation.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -42,6 +44,9 @@ DEFAULT_DT_FACTOR = 1e-4
 
 _EXIT_BLOCK = 8192
 
+# Rows formatted per write in write_track.
+_WRITE_BLOCK = 4096
+
 
 class MaxStepsExceeded(RuntimeError):
     """The simulated path did not leave the region within the step budget."""
@@ -67,7 +72,7 @@ class Trajectory:
             raise ValueError("a trajectory needs at least one sample")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
             raise ValueError("trajectory samples must be finite")
-        if t.shape[0] > 1 and not np.all(np.diff(t) > 0):
+        if not np.all(t[1:] > t[:-1]):
             raise ValueError("timestamps must be strictly increasing")
         t = t.copy()
         p = p.copy()
@@ -263,26 +268,74 @@ def squared_perturbation(published: Trajectory | None, original: Trajectory) -> 
 def write_track(traj: Trajectory, path) -> None:
     """Write a track as CSV with header ``t,x,y``, one sample per row, LF endings.
 
+    Each value is written as Python's ``repr`` of the float, the shortest
+    text that reads back to the same bits, so ``read_track`` returns the
+    track exactly. Rows are formatted and written in blocks of
+    ``_WRITE_BLOCK``, so memory stays flat whatever the track's length.
+
     An existing file is removed first rather than truncated: on ext4,
     closing a truncated-and-rewritten file forces its data to disk, which
     made reruns into the same directory up to 12 times slower.
     """
     Path(path).unlink(missing_ok=True)
+    row = "%r,%r,%r\n".__mod__
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,x,y\n")
-        for t, (x, y) in zip(traj.times, traj.positions):
-            # plain-float repr round-trips exactly and has no numpy wrapper
-            fh.write(f"{float(t)!r},{float(x)!r},{float(y)!r}\n")
+        for i in range(0, len(traj), _WRITE_BLOCK):
+            t = traj.times[i : i + _WRITE_BLOCK].tolist()
+            xy = traj.positions[i : i + _WRITE_BLOCK]
+            fh.write("".join(map(row, zip(t, xy[:, 0].tolist(), xy[:, 1].tolist()))))
 
 
 def read_track(path) -> Trajectory:
-    """Parse a ``t,x,y`` CSV track; errors carry file and line context."""
-    times: list[float] = []
-    coords: list[tuple[float, float]] = []
+    """Parse a ``t,x,y`` CSV track; errors carry file and line context.
+
+    The first line must be the header ``t,x,y`` (spaces around the names
+    allowed). Every other line is either blank (only whitespace; skipped)
+    or exactly three comma-separated floats, with optional whitespace
+    around each. Nothing else is allowed: no comments, no quotes, no
+    digit underscores (``1_0``) and no non-ASCII digits. Times must be
+    strictly increasing and every value finite.
+
+    The body is parsed by ``np.loadtxt`` streaming from the file. Only a
+    file it refuses is read again: once more through loadtxt without its
+    whitespace-only lines, which this format allows and loadtxt does not,
+    and, if that fails too, line by line to name the first bad line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if [col.strip() for col in header.split(",")] != ["t", "x", "y"]:
             raise TrackFormatError(f"{path}:1: expected header 't,x,y', got {header!r}")
+        data = _load_body(fh)
+    if data is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            fh.readline()
+            data = _load_body(line for line in fh if not line.isspace())
+    if data is None or (data.shape[0] > 0 and data.shape[1] != 3):
+        _raise_first_bad_line(path)
+    if data.shape[0] == 0:
+        raise TrackFormatError(f"{path}: track has no samples")
+    try:
+        return Trajectory(data[:, 0], data[:, 1:])
+    except ValueError as exc:
+        raise TrackFormatError(f"{path}: {exc}") from None
+
+
+def _load_body(lines) -> np.ndarray | None:
+    """All rows of a track body as an (m, k) array, or None if loadtxt refuses it."""
+    try:
+        with warnings.catch_warnings():
+            # an empty body is reported by the caller as "no samples"
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, dtype=float)
+    except ValueError:
+        return None
+
+
+def _raise_first_bad_line(path) -> NoReturn:
+    """Raise the error of the first line of a track body that the format refuses."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -290,15 +343,14 @@ def read_track(path) -> Trajectory:
             parts = line.split(",")
             if len(parts) != 3:
                 raise TrackFormatError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            try:
-                t, x, y = (float(v) for v in parts)
-            except ValueError as exc:
-                raise TrackFormatError(f"{path}:{lineno}: {exc}") from None
-            times.append(t)
-            coords.append((x, y))
-    if not times:
-        raise TrackFormatError(f"{path}: track has no samples")
-    try:
-        return Trajectory(np.array(times), np.array(coords))
-    except ValueError as exc:
-        raise TrackFormatError(f"{path}: {exc}") from None
+            for v in parts:
+                try:
+                    float(v)
+                except ValueError as exc:
+                    raise TrackFormatError(f"{path}:{lineno}: {exc}") from None
+                # float() takes these spellings, loadtxt does not
+                if "_" in v or not v.strip().isascii():
+                    raise TrackFormatError(
+                        f"{path}:{lineno}: could not convert string to float: {v!r}"
+                    )
+    raise TrackFormatError(f"{path}: not a t,x,y track")

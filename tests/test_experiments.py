@@ -254,6 +254,18 @@ class TestRunObfuscate:
         second = run_obfuscate(list(tracks), Point(0.0, 0.0), spec, 9, out)
         assert {k: f.read_bytes() for k, f in second.files.items()} == blobs
 
+    def test_non_canonical_input_published_in_repr_form(self, tmp_path):
+        # padded fields, 1.50, a blank line and CRLF endings in; repr floats, LF out
+        walk = tmp_path / "walk.csv"
+        walk.write_bytes(
+            b"t,x,y\r\n0, 0.0 ,0\r\n1.50,5,0.0\r\n\r\n2 , 6.0,  -0.0\r\n3,0.10,1e-5\r\n"
+        )
+        res = run_obfuscate([walk], Point(0.0, 0.0), FixedRadius(1.0), 3, tmp_path / "obf")
+        assert res.files["walk.csv"].read_bytes() == b"t,x,y\n1.5,5.0,0.0\n2.0,6.0,-0.0\n"
+        assert res.files["report"].read_bytes() == (
+            b"file,published,t1,t2,sp\nwalk.csv,true,1.5,2.0,59.810000000100004\n"
+        )
+
     def test_deterministic_given_seed(self, tracks, tmp_path):
         a = run_obfuscate(list(tracks), Point(0.0, 0.0), TwoBalls(1.0, 3.0, BetaParams(4.0, 4.0)), 9, tmp_path / "a")
         b = run_obfuscate(list(tracks), Point(0.0, 0.0), TwoBalls(1.0, 3.0, BetaParams(4.0, 4.0)), 9, tmp_path / "b")
@@ -511,6 +523,26 @@ class TestCli:
             ["obfuscate", str(tmp_path / "x.csv"), "--strategy", "fixed-radius", "--r-star", "1"]
         )
         assert rc == 2
+
+    def test_obfuscate_malformed_track(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,x,y\n0,0,0\n1,oops,0\n")
+        rc = main(
+            [
+                "obfuscate",
+                str(bad),
+                "--strategy",
+                "fixed-radius",
+                "--r-star",
+                "1",
+                "--seed",
+                "2",
+                "--out",
+                str(tmp_path / "obf"),
+            ]
+        )
+        assert rc == 2
+        assert "bad.csv:3" in capsys.readouterr().err
 
     def test_obfuscate_missing_track(self, tmp_path):
         rc = main(

@@ -61,6 +61,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             obs.sps[0] = 0.0
 
+    def test_positions_stored_once_read_only(self, rng):
+        obs = generate_observations(ORIGIN, RR_MAIN, 5, rng)
+        pos = obs.positions
+        assert obs.positions is pos
+        assert not pos.flags.writeable
+        assert pos.shape == (5, 2)
+        assert np.array_equal(pos, [[e.pos.x, e.pos.y] for e in obs.exits])
+        with pytest.raises(ValueError):
+            pos[0, 0] = 0.0
+
     def test_shared_region_only_for_two_balls(self, rng):
         obs = generate_observations(ORIGIN, RR_MAIN, 3, rng)
         with pytest.raises(TypeError):

@@ -8,6 +8,7 @@ from scipy import stats
 
 from privregion.core import Disk, Point, make_rng
 from privregion.trajectory import (
+    _WRITE_BLOCK,
     CutResult,
     MaxStepsExceeded,
     TrackFormatError,
@@ -44,6 +45,11 @@ class TestTrajectory:
             Trajectory(np.array([0.0, 1.0]), np.zeros((3, 2)))
         with pytest.raises(ValueError):
             Trajectory(np.array([]), np.zeros((0, 2)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_increasing_check_spans_the_float_range(self):
+        # differencing -1.7e308 and 1.7e308 would overflow
+        assert len(Trajectory(np.array([-1.7e308, 1.7e308]), np.zeros((2, 2)))) == 2
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -261,6 +267,198 @@ class TestTrackIo:
         p.write_text("t,x,y\n")
         with pytest.raises(TrackFormatError, match="no samples"):
             read_track(p)
+
+
+def reference_read_track(path) -> Trajectory:
+    """The per-line parser ``read_track`` used before its loadtxt rewrite."""
+    times: list[float] = []
+    coords: list[tuple[float, float]] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if [col.strip() for col in header.split(",")] != ["t", "x", "y"]:
+            raise TrackFormatError(f"{path}:1: expected header 't,x,y', got {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise TrackFormatError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
+            try:
+                t, x, y = (float(v) for v in parts)
+            except ValueError as exc:
+                raise TrackFormatError(f"{path}:{lineno}: {exc}") from None
+            times.append(t)
+            coords.append((x, y))
+    if not times:
+        raise TrackFormatError(f"{path}: track has no samples")
+    try:
+        return Trajectory(np.array(times), np.array(coords))
+    except ValueError as exc:
+        raise TrackFormatError(f"{path}: {exc}") from None
+
+
+def read_outcome(reader, path):
+    """("ok", bit patterns) for an accepted track, ("error", message) otherwise."""
+    try:
+        tr = reader(path)
+    except TrackFormatError as exc:
+        return ("error", str(exc))
+    return ("ok", tr.times.view(np.int64).tolist(), tr.positions.view(np.int64).tolist())
+
+
+@pytest.fixture(scope="module")
+def io_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("track_io")
+
+
+_PAD = st.sampled_from(["", " ", "\t", " \t "])
+_FIELD = st.one_of(
+    st.sampled_from(["+1.5", ".5", "5.", "1e5", "1E-3", "-0", "-0.0", "0", "1.50", "-7"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_BAD_LINE = st.sampled_from(
+    [
+        "# note",
+        "0,0,1 # note",
+        '"1",2,3',
+        "1,2",
+        "1,2,3,4",
+        "1,2,3,",
+        "oops,1,2",
+        "0x10,1,2",
+        "1;2;3",
+        "9,inf,0",
+        "9,0,-Infinity",
+        "9,nan,0",
+    ]
+)
+
+
+@st.composite
+def track_texts(draw):
+    """A track file mixing valid rows with blank, padded and malformed lines."""
+    lines = [draw(st.sampled_from(["t,x,y", " t , x , y "]))]
+    i = 0
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 12 + ["blank"] * 2 + ["bad", "back"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", " \t "])))
+        elif kind == "bad":
+            lines.append(draw(_BAD_LINE))
+        else:
+            # "back" repeats an earlier time: a non-increasing track
+            i = i - 2 if kind == "back" else i + 1
+            spellings = [f"{i}", f"+{i}", f"{i}.", f"{i}.50", f"{i}e0", f"{10 * i}e-1"]
+            t = draw(st.sampled_from(spellings))
+            fields = [t, draw(_FIELD), draw(_FIELD)]
+            lines.append(",".join(draw(_PAD) + f + draw(_PAD) for f in fields))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+class TestReadTrackMatchesLineParser:
+    @given(text=track_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_same_result_as_reference(self, io_dir, text):
+        p = io_dir / "diff.csv"
+        # unlink, not truncate: ext4 flushes a truncated file's data on close
+        p.unlink(missing_ok=True)
+        p.write_bytes(text.encode("utf-8"))
+        assert read_outcome(read_track, p) == read_outcome(reference_read_track, p)
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("0,1,2\n1,1_0,2\n", 3),  # digit underscore: float() reads 10.0
+            ("0,1,2\n\n1,2,٣\n", 4),  # ARABIC-INDIC DIGIT THREE: float() reads 3.0
+            ("0,1,2\n \n1,1_0,2\n", 4),  # the same through the whitespace-line path
+        ],
+    )
+    def test_python_only_spellings_rejected_with_line(self, io_dir, body, line):
+        p = io_dir / "bad.csv"
+        p.write_text("t,x,y\n" + body, encoding="utf-8")
+        assert read_outcome(reference_read_track, p)[0] == "ok"
+        with pytest.raises(TrackFormatError, match=rf"bad\.csv:{line}: could not convert"):
+            read_track(p)
+
+    def test_separator_controls_next_to_a_comma_are_whitespace(self, io_dir):
+        # loadtxt strips U+001C..U+001F like whitespace; float() refused them
+        p = io_dir / "fs.csv"
+        p.write_text("t,x,y\n0,1\x1c,2\n", encoding="utf-8")
+        assert read_outcome(reference_read_track, p)[0] == "error"
+        tr = read_track(p)
+        assert tr.positions.tolist() == [[1.0, 2.0]]
+
+    def test_whitespace_only_lines_are_skipped(self, io_dir):
+        p = io_dir / "ws.csv"
+        p.write_bytes(b"t,x,y\r\n0, 1.50 ,-0.0\r\n \t \r\n\r\n1,2,3\r\n")
+        tr = read_track(p)
+        assert tr.times.tolist() == [0.0, 1.0]
+        assert tr.positions.view(np.int64).tolist() == read_outcome(reference_read_track, p)[2]
+
+
+_EDGE_FLOATS = [
+    0.0,
+    -0.0,
+    5e-324,  # smallest subnormal
+    -2.225073858507201e-308,  # largest subnormal
+    2.2250738585072014e-308,  # smallest normal
+    1.7e308,
+    -1.7e308,
+    1.7976931348623157e308,
+    1e-4,  # repr switches to exponent notation below 1e-4 ...
+    9.999999999999999e-05,
+    1.0000000000000002e-4,
+    1e16,  # ... and from 1e16 up
+    9999999999999998.0,
+    1.0000000000000002e16,
+]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+
+
+@st.composite
+def finite_tracks(draw):
+    times = sorted(draw(st.lists(_FINITE, min_size=1, max_size=30, unique=True)))
+    xy = draw(st.lists(st.tuples(_FINITE, _FINITE), min_size=len(times), max_size=len(times)))
+    return Trajectory(np.array(times), np.array(xy).reshape(-1, 2))
+
+
+def expected_text(tr: Trajectory) -> str:
+    rows = zip(tr.times.tolist(), tr.positions.tolist())
+    return "t,x,y\n" + "".join(f"{t!r},{x!r},{y!r}\n" for t, (x, y) in rows)
+
+
+def assert_bit_exact(a: Trajectory, b: Trajectory) -> None:
+    assert np.array_equal(a.times.view(np.int64), b.times.view(np.int64))
+    assert np.array_equal(a.positions.view(np.int64), b.positions.view(np.int64))
+
+
+class TestWriteTrackFormat:
+    @given(tr=finite_tracks())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_are_float_reprs(self, io_dir, tr):
+        p = io_dir / "out.csv"
+        write_track(tr, p)
+        assert p.read_bytes() == expected_text(tr).encode("utf-8")
+        assert_bit_exact(read_track(p), tr)
+
+    @pytest.mark.parametrize(
+        "n", [1, _WRITE_BLOCK - 1, _WRITE_BLOCK, _WRITE_BLOCK + 1, 3 * _WRITE_BLOCK]
+    )
+    def test_block_boundaries(self, io_dir, n):
+        rng = make_rng(n)
+        pos = rng.normal(0.0, 1e3, size=(n, 2))
+        pos[::5, 0] = -0.0
+        pos[1::7, 1] = rng.choice(_EDGE_FLOATS, size=len(pos[1::7]))
+        tr = Trajectory(np.arange(n) * 0.1 - 3.0, pos)
+        p = io_dir / f"block{n}.csv"
+        write_track(tr, p)
+        text = p.read_text(encoding="utf-8")
+        assert text == expected_text(tr)
+        assert text.count("\n") == n + 1
+        assert_bit_exact(read_track(p), tr)
 
 
 class TestExitLawAgainstExact:
