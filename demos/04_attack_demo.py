@@ -24,7 +24,7 @@ rng = make_rng(2026)
 n = 50
 
 obs_tb = generate_observations(home, tb, n, rng)
-center = recover_center(obs_tb, tb.R)
+center = recover_center(obs_tb.positions, tb.R)
 assert isinstance(center, UniqueCenter)
 print(f"true home: ({home.x}, {home.y})")
 print(f"two-balls: attacker recovers the shared center exactly at "

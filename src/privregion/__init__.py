@@ -16,9 +16,7 @@ from .core import (
     make_rng,
 )
 from .harmonic import (
-    ExitPoint,
     harmonic_log_density,
-    sample_exit,
     sample_exit_offsets,
 )
 from .inference import (
@@ -49,11 +47,9 @@ from .strategies import (
 from .trajectory import (
     CutResult,
     Trajectory,
-    cut_first_exit,
     cut_privacy_region,
     read_track,
     simulate_brownian,
-    simulate_until_exit,
     squared_perturbation,
     write_track,
 )
@@ -78,7 +74,6 @@ __all__ = [
     "CutResult",
     "Disk",
     "ExitObservationSet",
-    "ExitPoint",
     "FixedRadius",
     "GammaParams",
     "Point",
@@ -91,7 +86,6 @@ __all__ = [
     "TwoBalls",
     "attack",
     "calibrate_random_radius",
-    "cut_first_exit",
     "cut_privacy_region",
     "derive_rng",
     "generate_observations",
@@ -110,12 +104,10 @@ __all__ = [
     "run_obfuscate",
     "run_table1",
     "rwm_sample",
-    "sample_exit",
     "sample_exit_offsets",
     "sample_region",
     "sample_sps",
     "simulate_brownian",
-    "simulate_until_exit",
     "squared_perturbation",
     "tb_log_posterior",
     "write_track",

@@ -148,6 +148,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
     spec = _build_spec(args)
     theta = _parse_theta(args.theta)
     conf = _scenario(args)

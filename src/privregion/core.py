@@ -1,4 +1,4 @@
-"""Planar geometry primitives, circle recovery, and scalar distribution utilities.
+"""Planar geometry primitives, circle fitting, and scalar distribution utilities.
 
 Distances are plain Euclidean meters; there is no geodesy here. Gamma
 parameters follow the rate convention throughout the package: a
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -19,25 +18,13 @@ __all__ = [
     "Disk",
     "GammaParams",
     "BetaParams",
-    "CollinearPoints",
     "DegenerateConfiguration",
-    "circumcenter",
     "fit_circle_center",
     "sample_gamma",
     "sample_beta",
     "make_rng",
     "derive_rng",
 ]
-
-# Triangle area below this fraction of (max pairwise distance)^2 is treated
-# as collinear; continuous samplers land there with probability zero, so the
-# threshold only guards float pathology.
-COLLINEAR_AREA_RTOL = 1e-12
-
-
-class CollinearPoints(ValueError):
-    """Three points do not span a triangle, so no circle passes through them."""
-
 
 class DegenerateConfiguration(ValueError):
     """A point set is too degenerate (e.g. collinear) for circle fitting."""
@@ -60,10 +47,6 @@ class Point:
     def distance_to(self, other: "Point") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def __add__(self, offset) -> "Point":
-        ox, oy = offset
-        return Point(self.x + float(ox), self.y + float(oy))
-
 
 def as_xy(point_like) -> np.ndarray:
     """Coerce a Point, pair, or length-2 array to a float ndarray of shape (2,)."""
@@ -85,12 +68,6 @@ class Disk:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"disk radius must be finite and > 0, got {self.radius}")
-
-    def contains(self, point_like) -> bool:
-        """Membership in the closed disk (boundary counts as inside)."""
-        p = as_xy(point_like)
-        c = self.center.as_array()
-        return float(np.hypot(*(p - c))) <= self.radius
 
 
 @dataclass(frozen=True)
@@ -161,36 +138,6 @@ def sample_beta(params: BetaParams, rng: np.random.Generator, size=None):
     return rng.beta(params.alpha, params.beta, size=size)
 
 
-def circumcenter(p1: Point, p2: Point, p3: Point) -> Disk:
-    """The unique circle through three non-collinear points.
-
-    Raises CollinearPoints when the triangle area falls below
-    ``COLLINEAR_AREA_RTOL * (max pairwise distance)**2``.
-    """
-    a = as_xy(p1)
-    b = as_xy(p2) - a
-    c = as_xy(p3) - a
-    cross = b[0] * c[1] - b[1] * c[0]
-    area = 0.5 * abs(cross)
-    dmax2 = max(b @ b, c @ c, (b - c) @ (b - c))
-    if area <= COLLINEAR_AREA_RTOL * dmax2:
-        raise CollinearPoints(f"triangle area {area:g} below tolerance for these points")
-    # Perpendicular-bisector system in coordinates relative to p1:
-    #   2 b . m = |b|^2,  2 c . m = |c|^2
-    # Solved at unit scale: triple products of tiny coordinates underflow
-    # (seen at |p| ~ 1e-150), so divide by the longest side first.
-    s = math.sqrt(dmax2)
-    bn = b / s
-    cn = c / s
-    cross_n = bn[0] * cn[1] - bn[1] * cn[0]
-    bb = bn @ bn
-    cc = cn @ cn
-    mx = (cn[1] * bb - bn[1] * cc) / (2.0 * cross_n)
-    my = (bn[0] * cc - cn[0] * bb) / (2.0 * cross_n)
-    radius = math.hypot(mx, my) * s
-    return Disk(Point(a[0] + mx * s, a[1] + my * s), radius)
-
-
 def _collinearity_spread(pts: np.ndarray) -> tuple[float, float]:
     """Singular values (s1 >= s2) of the centered point cloud."""
     centered = pts - pts.mean(axis=0)
@@ -198,14 +145,16 @@ def _collinearity_spread(pts: np.ndarray) -> tuple[float, float]:
     return float(s[0]), float(s[1])
 
 
-def fit_circle_center(points, radius_known: float) -> tuple[Point, float]:
-    """Best center for points known to lie on a circle of radius `radius_known`.
+def fit_circle_center(points: np.ndarray, radius_known: float) -> tuple[Point, float]:
+    """Best center for (n, 2) points known to lie on a circle of radius `radius_known`.
 
     Algebraic (Kasa) least squares provides the starting center; a short
     Gauss-Newton refinement then minimizes sum((|z_i - c| - R)^2) with the
     radius held fixed. Returns (center, rms residual).
     """
-    pts = np.asarray([as_xy(p) for p in points], dtype=float)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"expected (n, 2) points, got shape {pts.shape}")
     n = len(pts)
     if n < 3:
         raise ValueError(f"need at least 3 points, got {n}")
@@ -236,28 +185,3 @@ def fit_circle_center(points, radius_known: float) -> tuple[Point, float]:
     resid = np.hypot(diff[:, 0], diff[:, 1]) - radius_known
     rms = float(np.sqrt(np.mean(resid**2)))
     return Point(center[0], center[1]), rms
-
-
-def max_area_triple(points) -> tuple[int, int, int]:
-    """Indices of the max-area triangle among the first few distinct points.
-
-    Used to pick a well-conditioned triple for circumcenter-based recovery.
-    """
-    pts = np.asarray([as_xy(p) for p in points], dtype=float)
-    distinct: list[int] = []
-    for i in range(len(pts)):
-        if all(not np.array_equal(pts[i], pts[j]) for j in distinct):
-            distinct.append(i)
-        if len(distinct) >= 12:
-            break
-    if len(distinct) < 3:
-        raise DegenerateConfiguration("need at least 3 distinct points")
-    best, best_area = None, -1.0
-    for i, j, k in combinations(distinct, 3):
-        b = pts[j] - pts[i]
-        c = pts[k] - pts[i]
-        area = 0.5 * abs(b[0] * c[1] - b[1] * c[0])
-        if area > best_area:
-            best, best_area = (i, j, k), area
-    assert best is not None
-    return best

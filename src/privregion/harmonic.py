@@ -14,18 +14,15 @@ closed-form second moment E||z - theta||^2 = R^2 - |theta - c|^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Disk, Point, as_xy
+from .core import Disk, as_xy
 
 __all__ = [
-    "ExitPoint",
     "ThetaOutsideRegion",
     "PointNotOnBoundary",
     "harmonic_log_density",
-    "sample_exit",
     "sample_exit_offsets",
     "expected_sp_given_center",
     "BOUNDARY_RTOL",
@@ -44,23 +41,7 @@ class ThetaOutsideRegion(ValueError):
 
 
 class PointNotOnBoundary(ValueError):
-    """The evaluation point is not on the disk boundary within tolerance."""
-
-
-@dataclass(frozen=True)
-class ExitPoint:
-    """A boundary point of `region` recorded as a Brownian exit observation."""
-
-    pos: Point
-    region: Disk
-
-    def __post_init__(self) -> None:
-        r = self.region.radius
-        d = self.pos.distance_to(self.region.center)
-        if abs(d - r) > BOUNDARY_RTOL * r:
-            raise PointNotOnBoundary(
-                f"exit point at distance {d!r} not on boundary of radius {r!r}"
-            )
+    """A point is not on its disk's boundary within BOUNDARY_RTOL."""
 
 
 def _interior_offset(theta, region: Disk) -> np.ndarray:
@@ -108,14 +89,6 @@ def sample_exit_offsets(
     w = (u + a) / (1.0 + np.conj(a) * u)
     w /= np.abs(w)  # |w| = 1 analytically; renormalize to kill float error
     return np.column_stack([w.real, w.imag]) * radii[:, None]
-
-
-def sample_exit(theta, region: Disk, rng: np.random.Generator) -> ExitPoint:
-    """One exact draw from the exit law of `region` started at `theta`."""
-    t_off = _interior_offset(theta, region)
-    off = sample_exit_offsets(t_off, region.radius, 1, rng)[0]
-    c = region.center
-    return ExitPoint(Point(c.x + off[0], c.y + off[1]), region)
 
 
 def expected_sp_given_center(theta, region: Disk) -> float:

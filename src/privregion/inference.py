@@ -19,8 +19,10 @@ posterior sd spans too few cells, and an attack fails with
 `DiagnosticsFailed` when a window truncates visible mass. For two-balls the
 exits enter through sufficient statistics: the Fourier coefficients of the
 Poisson kernel, so a grid point costs the same whatever the exit count.
-Fixed-radius regions need no integration at all: three exits determine
-theta.
+Fixed-radius regions need no integration at all: every region is centered
+on theta with the known radius, so theta is the circle center that
+`recover_center` finds, one point for three or more exits and in closed
+form for fewer.
 
 `rwm_sample`, `split_r_hat` and `effective_sample_size` (adaptive
 Metropolis and its diagnostics) stay available as general tools; no attack
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaln, gammainccinv, gammaln
 
-from .core import Point, as_xy, circumcenter, fit_circle_center, max_area_triple
+from .core import Point, as_xy, fit_circle_center
 from .strategies import ExitObservationSet, FixedRadius, RandomRadius, TwoBalls
 
 __all__ = [
@@ -246,22 +248,16 @@ class AttackReport:
             raise ValueError(f"mse != bias2 + variance (gap {gap:g})")
 
 
-def _exit_positions(exits) -> np.ndarray:
-    if isinstance(exits, ExitObservationSet):
-        return exits.positions
-    if isinstance(exits, np.ndarray):
-        return np.atleast_2d(np.asarray(exits, dtype=float))
-    return np.atleast_2d(np.asarray([as_xy(getattr(e, "pos", e)) for e in exits], dtype=float))
-
-
-def recover_center(exits, R: float) -> CenterEstimate:
-    """Where can the shared two-balls center be, given exits on its boundary?
+def recover_center(positions: np.ndarray, R: float) -> CenterEstimate:
+    """Where can the center of a radius-R circle be, given (n, 2) exits on it?
 
     Three or more exits determine it (circle fit, residual checked against
     CENTER_FIT_RTOL * R); two exits leave a pair of candidates; one exit a
     whole circle of candidates.
     """
-    pts = _exit_positions(exits)
+    pts = np.asarray(positions, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"expected (n, 2) exit positions, got shape {pts.shape}")
     n = len(pts)
     if n >= 3:
         center, rms = fit_circle_center(pts, R)
@@ -790,12 +786,20 @@ def quadrature_window(obs: ExitObservationSet, center: Point | None = None):
 
 
 def _attack_fixed(obs: ExitObservationSet, theta_true):
-    pts = obs.positions
-    i, j, k = max_area_triple(pts)
-    disk = circumcenter(Point(*pts[i]), Point(*pts[j]), Point(*pts[k]))
-    est = disk.center.as_array()
-    bias2 = float(((est - as_xy(theta_true)) ** 2).sum())
-    return est, bias2, bias2, 0.0, 0.0, 0, 0
+    # theta is the center of a radius-r_star circle through every exit.
+    # Two exits leave the two candidates that mirror each other across the
+    # line z1z2, equally likely; one exit leaves theta uniform on the circle
+    # of radius r_star around it.
+    est = recover_center(obs.positions, obs.strategy.r_star)
+    if isinstance(est, UniqueCenter):
+        mean, variance = est.center.as_array(), 0.0
+    elif isinstance(est, CenterPair):
+        plus, minus = est.plus.as_array(), est.minus.as_array()
+        mean, variance = 0.5 * (plus + minus), float(((plus - minus) ** 2).sum()) / 4.0
+    else:
+        mean, variance = est.base.as_array(), est.radius**2
+    bias2 = float(((mean - as_xy(theta_true)) ** 2).sum())
+    return mean, bias2 + variance, bias2, variance, 0.0, 0, 0
 
 
 def _radius_sd(alpha: float, beta: float) -> float:
@@ -912,7 +916,9 @@ def attack(
 ) -> AttackReport:
     """Run the strategy-appropriate attack and score it against the truth.
 
-    Fixed-radius: exact recovery through a well-conditioned exit triple.
+    Fixed-radius: the circle center through the exits, exact for n >= 3;
+    the midpoint of the two candidates for n = 2 and the exit itself for
+    n = 1, with the closed-form variance of those candidates.
     Random-radius: quadrature on mode +- WINDOW_SD sd of the Laplace
     approximation, or, for small n, on the box the exits allow. Two-balls:
     center recovery first, then quadrature on the support square around the

@@ -15,13 +15,12 @@ bit-identical under the same seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import harmonic, trajectory
 from .core import BetaParams, Disk, GammaParams, Point, as_xy, sample_beta, sample_gamma
-from .harmonic import ExitPoint
 from .trajectory import CutResult, Trajectory, cut_privacy_region
 
 __all__ = [
@@ -105,40 +104,61 @@ class SimulatedExits:
 EXACT = ExactExits()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExitObservationSet:
-    """What the attacker sees: exit points plus known strategy parameters."""
+    """What the attacker sees: exit points plus known strategy parameters.
+
+    Row i of `positions` (n, 2) is an exit on the boundary of the region
+    with center `centers[i]` (n, 2) and radius `radii[i]` (n,); `sps[i]`
+    (n,) is its squared perturbation. All four are stored as read-only
+    copies. Two-balls exits share one region. Sets compare by identity:
+    field-wise == on arrays has no single truth value.
+    """
 
     strategy: StrategySpec
-    exits: tuple[ExitPoint, ...]
+    positions: np.ndarray
+    centers: np.ndarray
+    radii: np.ndarray
     sps: np.ndarray
-    # (n, 2) exit coordinates, read-only; derived from `exits` once
-    positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        exits = tuple(self.exits)
-        sps = np.asarray(self.sps, dtype=float).copy()
-        if len(exits) < 1 or sps.shape != (len(exits),):
-            raise ValueError(f"need matching exits and sps, got {len(exits)} and {sps.shape}")
-        if isinstance(self.strategy, TwoBalls):
-            region = exits[0].region
-            if any(e.region != region for e in exits):
-                raise ValueError("two-balls exits must share one region")
-        positions = np.array([[e.pos.x, e.pos.y] for e in exits], dtype=float)
-        sps.setflags(write=False)
-        positions.setflags(write=False)
-        object.__setattr__(self, "exits", exits)
-        object.__setattr__(self, "sps", sps)
-        object.__setattr__(self, "positions", positions)
+        arrays = {
+            name: np.array(getattr(self, name), dtype=float)
+            for name in ("positions", "centers", "radii", "sps")
+        }
+        pos, ctr, radii, sps = arrays.values()
+        n = radii.size
+        if n < 1 or {pos.shape, ctr.shape} != {(n, 2)} or {radii.shape, sps.shape} != {(n,)}:
+            raise ValueError(
+                f"need n >= 1 exits, positions and centers (n, 2), radii and sps (n,), got "
+                f"{pos.shape}, {ctr.shape}, {radii.shape} and {sps.shape}"
+            )
+        if not (all(np.isfinite(a).all() for a in (pos, ctr, radii)) and np.all(radii > 0)):
+            raise ValueError("exit positions, centers and radii must be finite, radii > 0")
+        dist = np.hypot(pos[:, 0] - ctr[:, 0], pos[:, 1] - ctr[:, 1])
+        off = np.abs(dist - radii) > harmonic.BOUNDARY_RTOL * radii
+        if off.any():
+            i = int(np.argmax(off))
+            raise harmonic.PointNotOnBoundary(
+                f"exit {i} at distance {dist[i]!r} not on boundary of radius {radii[i]!r}"
+            )
+        if isinstance(self.strategy, TwoBalls) and not (
+            np.all(ctr == ctr[0]) and np.all(radii == radii[0])
+        ):
+            raise ValueError("two-balls exits must share one region")
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
-        return len(self.exits)
+        return len(self.radii)
 
     @property
     def shared_region(self) -> Disk:
         if not isinstance(self.strategy, TwoBalls):
             raise TypeError("only two-balls observations share a region")
-        return self.exits[0].region
+        cx, cy = self.centers[0].tolist()
+        return Disk(Point(cx, cy), float(self.radii[0]))
 
 
 @dataclass(frozen=True)
@@ -231,17 +251,7 @@ def generate_observations(
     exit_offs = _exit_offsets(offsets, radii, mode, rng)
     rel = offsets + exit_offs  # z - theta
     sps = (rel**2).sum(axis=1)
-
-    if isinstance(spec, TwoBalls):
-        regions = [Disk(Point(t[0] + offsets[0, 0], t[1] + offsets[0, 1]), float(radii[0]))] * n
-    else:
-        regions = [
-            Disk(Point(t[0] + off[0], t[1] + off[1]), float(r)) for off, r in zip(offsets, radii)
-        ]
-    exits = tuple(
-        ExitPoint(Point(t[0] + rel[i, 0], t[1] + rel[i, 1]), regions[i]) for i in range(n)
-    )
-    return ExitObservationSet(spec, exits, sps)
+    return ExitObservationSet(spec, t + rel, t + offsets, radii, sps)
 
 
 def sample_sps(spec: StrategySpec, n_draws: int, rng: np.random.Generator) -> np.ndarray:

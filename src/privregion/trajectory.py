@@ -2,9 +2,9 @@
 
 A trajectory is a time-ordered list of planar samples. Cutting against a
 privacy region keeps the samples from the first one outside the region to
-the last one outside it (or to the end, for the first-exit variant used on
-memoryless paths); the squared perturbation (SP) is the squared endpoint
-displacement that the cut introduces, and +inf when nothing is published.
+the last one outside it; the squared perturbation (SP) is the squared
+endpoint displacement that the cut introduces, and +inf when nothing is
+published.
 
 Cutting operates on the discrete samples directly: the first sample outside
 the region starts the published track, with no boundary interpolation.
@@ -28,11 +28,9 @@ __all__ = [
     "MaxStepsExceeded",
     "TrackFormatError",
     "simulate_brownian",
-    "simulate_until_exit",
     "simulate_exit_offsets",
     "default_exit_dt",
     "cut_privacy_region",
-    "cut_first_exit",
     "squared_perturbation",
     "read_track",
     "write_track",
@@ -41,8 +39,6 @@ __all__ = [
 # Exit-simulation step policy: boundary overshoot is O(sqrt(sigma2 * dt)),
 # so dt scales with the squared region radius.
 DEFAULT_DT_FACTOR = 1e-4
-
-_EXIT_BLOCK = 8192
 
 # Rows formatted per write in write_track.
 _WRITE_BLOCK = 4096
@@ -136,49 +132,6 @@ def default_exit_dt(region_radius: float, sigma2: float) -> float:
     return DEFAULT_DT_FACTOR * region_radius**2 / sigma2
 
 
-def simulate_until_exit(
-    start,
-    region: Disk,
-    sigma2: float,
-    dt: float,
-    max_steps: int,
-    rng: np.random.Generator,
-) -> tuple[Trajectory, int]:
-    """Simulate Brownian motion from inside `region` until a sample lands outside.
-
-    The returned trajectory keeps exactly one sample past the boundary; the
-    exit index is the index of that first outside sample. Raises
-    MaxStepsExceeded when the budget runs out (exit is a.s. finite, so this
-    only guards absurd budgets or regions).
-    """
-    p0 = as_xy(start)
-    c = region.center.as_array()
-    if float(np.hypot(*(p0 - c))) >= region.radius:
-        raise ValueError("start must lie strictly inside the region")
-    std = math.sqrt(sigma2 * dt)
-    r2 = region.radius**2
-
-    blocks = [p0[None, :]]
-    pos = p0
-    done = 0
-    while done < max_steps:
-        k = min(_EXIT_BLOCK, max_steps - done)
-        incr = rng.normal(0.0, std, size=(k, 2))
-        segment = pos + np.cumsum(incr, axis=0)
-        outside = ((segment - c) ** 2).sum(axis=1) > r2
-        hit = np.argmax(outside) if outside.any() else -1
-        if hit >= 0:
-            blocks.append(segment[: hit + 1])
-            positions = np.concatenate(blocks)
-            exit_index = done + hit + 1
-            times = np.arange(len(positions), dtype=float) * dt
-            return Trajectory(times, positions), exit_index
-        blocks.append(segment)
-        pos = segment[-1]
-        done += k
-    raise MaxStepsExceeded(f"no exit from {region} within {max_steps} steps")
-
-
 def simulate_exit_offsets(
     start_offsets: np.ndarray,
     radii: np.ndarray,
@@ -217,30 +170,21 @@ def simulate_exit_offsets(
     raise MaxStepsExceeded(f"{len(alive)} of {n} paths did not exit within {max_steps} steps")
 
 
-def _cut(traj: Trajectory, region: Disk, keep_tail: bool) -> CutResult:
+def cut_privacy_region(traj: Trajectory, region: Disk) -> CutResult:
+    """Publish from the first sample outside `region` to the last one outside it.
+
+    When every sample stays inside, nothing is published and the SP is +inf.
+    """
     c = region.center.as_array()
     d2 = ((traj.positions - c) ** 2).sum(axis=1)
     outside = np.flatnonzero(d2 > region.radius**2)
     if outside.size == 0:
         return CutResult(None, math.inf, None, None)
     i0 = int(outside[0])
-    i1 = len(traj) - 1 if keep_tail else int(outside[-1])
+    i1 = int(outside[-1])
     published = traj.slice(i0, i1)
     sp = squared_perturbation(published, traj)
     return CutResult(published, sp, float(traj.times[i0]), float(traj.times[i1]))
-
-
-def cut_privacy_region(traj: Trajectory, region: Disk) -> CutResult:
-    """Publish from the first sample outside `region` to the last one outside it.
-
-    When every sample stays inside, nothing is published and the SP is +inf.
-    """
-    return _cut(traj, region, keep_tail=False)
-
-
-def cut_first_exit(traj: Trajectory, region: Disk) -> CutResult:
-    """Publish from the first sample outside `region` to the end of the track."""
-    return _cut(traj, region, keep_tail=True)
 
 
 def squared_perturbation(published: Trajectory | None, original: Trajectory) -> float:

@@ -268,7 +268,7 @@ def _oracle_gap(spec, k: int, n: int, theta: Point):
     report = attack(obs, theta, make_rng(ORACLE_SEED + 2 * k + 1))
 
     if isinstance(spec, TwoBalls):
-        c = recover_center(obs, spec.R)
+        c = recover_center(obs.positions, spec.R)
         assert isinstance(c, UniqueCenter)
         grid = grid_posterior(
             lambda p: tb_log_posterior(p, c.center, obs),

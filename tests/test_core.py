@@ -9,16 +9,13 @@ from scipy import stats
 
 from privregion.core import (
     BetaParams,
-    CollinearPoints,
     DegenerateConfiguration,
     Disk,
     GammaParams,
     Point,
-    circumcenter,
     derive_rng,
     fit_circle_center,
     make_rng,
-    max_area_triple,
     sample_beta,
     sample_gamma,
 )
@@ -58,38 +55,7 @@ class TestPrimitives:
 
 
 class TestCircumcenter:
-    def test_unit_circle_triple(self):
-        disk = circumcenter(Point(1.0, 0.0), Point(0.0, 1.0), Point(-1.0, 0.0))
-        assert disk.center.distance_to(Point(0.0, 0.0)) < 1e-12
-        assert disk.radius == pytest.approx(1.0, abs=1e-12)
-
-    def test_offset_triple(self):
-        disk = circumcenter(Point(0.0, 0.0), Point(2.0, 0.0), Point(1.0, 1.0))
-        assert disk.center.distance_to(Point(1.0, 0.0)) < 1e-12
-        assert disk.radius == pytest.approx(1.0, abs=1e-12)
-
-    def test_collinear_raises(self):
-        with pytest.raises(CollinearPoints):
-            circumcenter(Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.0))
-
-    def test_nearly_collinear_raises(self):
-        # Area ~1e-13 relative to span^2, below the collinearity cutoff.
-        with pytest.raises(CollinearPoints):
-            circumcenter(Point(0.0, 0.0), Point(1.0, 5e-14), Point(2.0, 0.0))
-
-    @given(coord, coord, coord, coord, coord, coord)
-    def test_permutation_invariant(self, x1, y1, x2, y2, x3, y3):
-        pts = [Point(x1, y1), Point(x2, y2), Point(x3, y3)]
-        area = abs(
-            (pts[1].x - pts[0].x) * (pts[2].y - pts[0].y)
-            - (pts[2].x - pts[0].x) * (pts[1].y - pts[0].y)
-        )
-        span = max(p.distance_to(q) for p in pts for q in pts)
-        assume(span > 0 and area > 1e-6 * span**2)
-        base = circumcenter(*pts)
-        perm = circumcenter(pts[2], pts[0], pts[1])
-        assert perm.center.distance_to(base.center) <= 1e-9 * base.radius
-        assert perm.radius == pytest.approx(base.radius, rel=1e-9)
+    """The center of the circle through exits, as fit_circle_center finds it."""
 
     @given(coord, coord, st.floats(min_value=0.01, max_value=100.0), st.data())
     def test_recovers_random_disk(self, cx, cy, radius, data):
@@ -97,33 +63,32 @@ class TestCircumcenter:
             st.lists(
                 st.floats(min_value=0.0, max_value=2.0 * math.pi - 1e-9),
                 min_size=3,
-                max_size=3,
+                max_size=8,
                 unique=True,
             )
         )
-        pts = [Point(cx + radius * math.cos(a), cy + radius * math.sin(a)) for a in angles]
-        area = abs(
-            (pts[1].x - pts[0].x) * (pts[2].y - pts[0].y)
-            - (pts[2].x - pts[0].x) * (pts[1].y - pts[0].y)
-        )
-        span = max(p.distance_to(q) for p in pts for q in pts)
+        pts = np.array([[cx + radius * math.cos(a), cy + radius * math.sin(a)] for a in angles])
         # The generated points miss the true circle by rounding, about
-        # eps * (|center| + radius). The middle point of the triple sits
-        # h = area / span off the chord (area is twice the triangle's), so
-        # even an exact circumcenter of the rounded points is off by about
-        # radius * rounding / h. Keep the triples where that is far below
-        # the tolerance asserted here.
+        # eps * (|center| + radius). Points that rise only h above their
+        # longest chord (of length span) pin the center down to about
+        # radius * rounding / h, so keep the sets where that is far below
+        # the tolerance asserted here. area = h * span, twice a triangle's.
+        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        i, j = np.unravel_index(np.argmax(d2), d2.shape)
+        span = math.sqrt(d2[i, j])
+        chord, rel = pts[j] - pts[i], pts - pts[i]
+        area = float(np.abs(chord[0] * rel[:, 1] - chord[1] * rel[:, 0]).max())
         rounding = sys.float_info.epsilon * (max(abs(cx), abs(cy)) + radius)
         assume(area > 1e-6 * span**2 and rounding * span / area < 2e-9)
-        disk = circumcenter(*pts)
-        assert disk.center.distance_to(Point(cx, cy)) <= 1e-7 * radius
-        assert disk.radius == pytest.approx(radius, rel=1e-7)
+        center, rms = fit_circle_center(pts, radius)
+        assert center.distance_to(Point(cx, cy)) <= 1e-7 * radius
+        assert rms <= 1e-7 * radius
 
 
 class TestFitCircleCenter:
     def test_three_exact_points(self):
         center, rms = fit_circle_center(
-            [Point(8.0, 4.0), Point(3.0, 9.0), Point(-2.0, 4.0)], radius_known=5.0
+            np.array([[8.0, 4.0], [3.0, 9.0], [-2.0, 4.0]]), radius_known=5.0
         )
         assert center.distance_to(Point(3.0, 4.0)) < 1e-9
         assert rms < 1e-9
@@ -131,7 +96,7 @@ class TestFitCircleCenter:
     def test_many_exact_points(self, rng):
         true = Point(3.0, 4.0)
         angles = rng.uniform(0.0, 2.0 * math.pi, size=100)
-        pts = [Point(true.x + 5.0 * math.cos(a), true.y + 5.0 * math.sin(a)) for a in angles]
+        pts = true.as_array() + 5.0 * np.column_stack([np.cos(angles), np.sin(angles)])
         center, rms = fit_circle_center(pts, radius_known=5.0)
         assert center.distance_to(true) < 1e-9
         assert rms < 1e-9
@@ -140,51 +105,19 @@ class TestFitCircleCenter:
         true = Point(-1.0, 2.0)
         angles = rng.uniform(0.0, 2.0 * math.pi, size=200)
         radii = 3.0 + rng.normal(0.0, 0.01, size=200)
-        pts = [Point(true.x + r * math.cos(a), true.y + r * math.sin(a)) for r, a in zip(radii, angles)]
+        pts = true.as_array() + radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
         center, rms = fit_circle_center(pts, radius_known=3.0)
         assert center.distance_to(true) < 0.01
         assert 0.001 < rms < 0.05
 
     def test_collinear_raises(self):
-        pts = [Point(float(i), 2.0 * i) for i in range(5)]
+        pts = np.array([[float(i), 2.0 * i] for i in range(5)])
         with pytest.raises(DegenerateConfiguration):
             fit_circle_center(pts, radius_known=1.0)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
-            fit_circle_center([Point(0.0, 0.0), Point(1.0, 0.0)], radius_known=1.0)
-
-
-class TestMaxAreaTriple:
-    def test_picks_spanning_triple(self):
-        pts = [
-            Point(0.0, 0.0),
-            Point(0.1, 0.0),
-            Point(1.0, 0.0),
-            Point(0.5, 1.0),
-            Point(0.55, 0.02),
-        ]
-        i, j, k = max_area_triple(pts)
-        assert {i, j, k} == {0, 2, 3}
-
-    def test_collinear_cloud_yields_degenerate_triple(self):
-        # A collinear cloud still returns a triple; circumcenter is the
-        # stage that rejects it.
-        pts = [Point(float(i), float(i)) for i in range(6)]
-        i, j, k = max_area_triple(pts)
-        with pytest.raises(CollinearPoints):
-            circumcenter(pts[i], pts[j], pts[k])
-
-    def test_fewer_than_three_distinct_raises(self):
-        pts = [Point(0.0, 0.0), Point(1.0, 1.0), Point(0.0, 0.0), Point(1.0, 1.0)]
-        with pytest.raises(DegenerateConfiguration):
-            max_area_triple(pts)
-
-    def test_duplicates_ignored(self):
-        pts = [Point(0.0, 0.0)] * 4 + [Point(1.0, 0.0), Point(0.0, 1.0)]
-        i, j, k = max_area_triple(pts)
-        chosen = {(pts[m].x, pts[m].y) for m in (i, j, k)}
-        assert chosen == {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)}
+            fit_circle_center(np.array([[0.0, 0.0], [1.0, 0.0]]), radius_known=1.0)
 
 
 class TestSamplers:

@@ -442,6 +442,22 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "atk" / "attack_report.csv").exists()
 
+    @pytest.mark.parametrize("n, variance", [(1, "4.0"), (2, None)])
+    def test_attack_fixed_radius_below_three_exits(self, n, variance, capsys):
+        # one exit leaves theta on a circle, two leave a pair of centers
+        argv = ["attack", "--strategy", "fixed-radius", "--r-star", "2.0", "--seed", "4"]
+        assert main(argv + ["--n", str(n)]) == 0
+        out = capsys.readouterr().out
+        got = re.search(r"^bias2=(\S+) variance=(\S+)$", out, re.M)
+        assert got and float(got[2]) > 0.0
+        assert variance is None or got[2] == variance
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_attack_needs_an_exit(self, n, capsys):
+        argv = ["attack", "--strategy", "fixed-radius", "--r-star", "1", "--seed", "4"]
+        assert main(argv + ["--n", n]) == 2
+        assert capsys.readouterr().err.startswith("error: --n must be >= 1")
+
     def test_attack_missing_strategy_params(self, capsys):
         rc = main(["attack", "--strategy", "two-balls", "--seed", "1"])
         assert rc == 2

@@ -6,12 +6,10 @@ from scipy import stats
 
 from privregion.core import Disk, Point, make_rng
 from privregion.harmonic import (
-    ExitPoint,
     PointNotOnBoundary,
     ThetaOutsideRegion,
     expected_sp_given_center,
     harmonic_log_density,
-    sample_exit,
     sample_exit_offsets,
 )
 
@@ -26,15 +24,6 @@ def boundary_densities(theta, region, angles):
     c = region.center.as_array()
     zs = c + region.radius * np.column_stack([np.cos(angles), np.sin(angles)])
     return np.array([density(z, theta, region) for z in zs])
-
-
-class TestExitPoint:
-    def test_boundary_membership_enforced(self):
-        ExitPoint(Point(1.0, 0.0), UNIT)
-        with pytest.raises(PointNotOnBoundary):
-            ExitPoint(Point(0.5, 0.0), UNIT)
-        with pytest.raises(PointNotOnBoundary):
-            ExitPoint(Point(1.1, 0.0), UNIT)
 
 
 class TestDensityValues:
@@ -90,14 +79,6 @@ class TestNormalization:
 
 
 class TestSampling:
-    def test_sample_exit_lands_on_boundary(self, rng):
-        region = Disk(Point(2.0, 1.0), 3.0)
-        for _ in range(10):
-            ep = sample_exit(Point(3.0, 2.0), region, rng)
-            assert ep.region is region
-            d = ep.pos.distance_to(region.center)
-            assert d == pytest.approx(3.0, rel=1e-9)
-
     def test_offsets_exactly_on_circle(self, rng):
         radii = np.full(1000, 2.5)
         offs = sample_exit_offsets(np.tile([1.0, 0.5], (1000, 1)), radii, 1000, rng)

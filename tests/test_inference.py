@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from privregion import inference
-from privregion.core import BetaParams, Disk, GammaParams, Point, derive_rng, make_rng
-from privregion.harmonic import ExitPoint, harmonic_log_density
+from privregion.core import BetaParams, GammaParams, Point, derive_rng, make_rng
+from privregion.harmonic import harmonic_log_density
 from privregion.inference import (
     AdaptationFailed,
     AttackConfig,
@@ -33,6 +33,7 @@ from privregion.inference import (
     tb_log_posterior,
 )
 from privregion.strategies import (
+    ExitObservationSet,
     FixedRadius,
     RandomRadius,
     TwoBalls,
@@ -46,17 +47,13 @@ LOG_PI = 1.1447298858494002
 
 
 def rr_obs_at(positions, gamma=GammaParams(1.0, 1.0)):
-    """Observation set with prescribed exit positions (regions synthesized)."""
+    """Observation set with prescribed exit positions, each on a region
+    centered at the origin (or at (1, 0) for an exit at the origin)."""
     pts = np.atleast_2d(np.asarray(positions, dtype=float))
-    exits = []
-    for p in pts:
-        d = float(np.hypot(*p))
-        radius = d if d > 0 else 1.0
-        center = Point(0.0, 0.0) if d > 0 else Point(1.0, 0.0)
-        exits.append(ExitPoint(Point(*p), Disk(center, radius)))
-    from privregion.strategies import ExitObservationSet
-
-    return ExitObservationSet(RandomRadius(gamma), tuple(exits), (pts**2).sum(axis=1))
+    sps = (pts**2).sum(axis=1)
+    centers = np.where(sps[:, None] > 0, 0.0, [1.0, 0.0])
+    radii = np.hypot(*(pts - centers).T)
+    return ExitObservationSet(RandomRadius(gamma), pts, centers, radii, sps)
 
 
 class TestRecoverCenter:
@@ -69,7 +66,7 @@ class TestRecoverCenter:
 
     def test_many_exits_unique(self, rng):
         obs = generate_observations(ORIGIN, TB_MAIN, 50, rng)
-        est = recover_center(obs, TB_MAIN.R)
+        est = recover_center(obs.positions, TB_MAIN.R)
         true_c = obs.shared_region.center
         assert isinstance(est, UniqueCenter)
         assert est.center.distance_to(true_c) < 1e-9
@@ -170,7 +167,7 @@ class TestTbLogPosterior:
             prior = stats.beta(spec.beta.alpha, spec.beta.beta).logpdf(u) - math.log(
                 math.pi * spec.r**2
             )
-            harm = sum(harmonic_log_density(e.pos, theta, region) for e in obs.exits)
+            harm = sum(harmonic_log_density(z, theta, region) for z in obs.positions)
             assert tb_log_posterior(theta, c, obs) == pytest.approx(prior + harm, rel=1e-10)
 
     def test_uniform_center_prior_is_flat(self, rng):
@@ -181,7 +178,7 @@ class TestTbLogPosterior:
         vals = []
         for off in ([0.2, 0.0], [-0.3, 0.55], [0.0, -0.9]):
             theta = Point(c.x + off[0], c.y + off[1])
-            harm = sum(harmonic_log_density(e.pos, theta, region) for e in obs.exits)
+            harm = sum(harmonic_log_density(z, theta, region) for z in obs.positions)
             vals.append(tb_log_posterior(theta, c, obs) - harm)
         assert np.allclose(vals, -math.log(math.pi * spec.r**2), rtol=1e-12)
 
@@ -194,8 +191,8 @@ class TestTbLogPosterior:
         rho = np.linspace(0.0, spec.r, 20_001)[1:-1]
         thetas = np.column_stack([c.x + rho, np.full_like(rho, c.y)])
         harm = np.zeros_like(rho)
-        for e in obs.exits:
-            harm += np.array([harmonic_log_density(e.pos, Point(*t), region) for t in thetas])
+        for z in obs.positions:
+            harm += np.array([harmonic_log_density(z, Point(*t), region) for t in thetas])
         prior = tb_log_posterior(thetas, c, obs) - harm
         total = np.trapezoid(np.exp(prior) * 2.0 * math.pi * rho, rho)
         assert total == pytest.approx(1.0, abs=1e-4)
@@ -249,7 +246,7 @@ class TestPoissonKernelSeries:
             theta = Point(c.x + off[0], c.y + off[1])
             u = (off[0] ** 2 + off[1] ** 2) / spec.r**2
             prior = stats.beta(4.0, 4.0).logpdf(u) - math.log(math.pi * spec.r**2)
-            harm = sum(harmonic_log_density(e.pos, theta, region) for e in obs.exits)
+            harm = sum(harmonic_log_density(z, theta, region) for z in obs.positions)
             assert tb_log_posterior(theta, c, obs) == pytest.approx(prior + harm, rel=1e-11)
 
 
@@ -516,12 +513,30 @@ class TestAttackFixedRadius:
         assert report.grids == 0 and report.edge_mass == 0.0
         assert report.posterior_mse <= (1e-9 * 2.0) ** 2
 
-    def test_two_exits_insufficient(self, rng):
-        from privregion.core import DegenerateConfiguration
+    def test_two_exits_center_pair(self, rng):
+        # theta is one of the two radius-r* circle centers through both
+        # exits, equally likely: mean their midpoint, variance |plus - minus|^2 / 4
+        theta = Point(1.5, -0.25)
+        obs = generate_observations(theta, FixedRadius(2.0), 2, rng)
+        z = obs.positions
+        report = attack(obs, theta, rng)
+        mid = z.mean(axis=0)
+        half_chord2 = float(((z[1] - z[0]) ** 2).sum()) / 4.0
+        assert np.allclose(report.posterior_mean.as_array(), mid, rtol=0.0, atol=1e-12)
+        assert report.variance == pytest.approx(4.0 - half_chord2, rel=1e-12)
+        assert report.bias2 == pytest.approx(float(((mid - theta.as_array()) ** 2).sum()), rel=1e-9)
+        assert report.bias2 == pytest.approx(report.variance, rel=1e-9)
+        assert report.grids == 0 and report.edge_mass == 0.0
 
-        obs = generate_observations(ORIGIN, FixedRadius(1.0), 2, rng)
-        with pytest.raises(DegenerateConfiguration):
-            attack(obs, ORIGIN, rng)
+    def test_one_exit_center_arc(self, rng):
+        # theta is uniform on the radius-r* circle around the exit
+        theta = Point(1.5, -0.25)
+        obs = generate_observations(theta, FixedRadius(2.0), 1, rng)
+        report = attack(obs, theta, rng)
+        assert report.posterior_mean == Point(*obs.positions[0])
+        assert report.variance == 4.0
+        assert report.bias2 == pytest.approx(4.0, rel=1e-12)
+        assert report.posterior_mse == pytest.approx(8.0, rel=1e-12)
 
 
 def _rel_gaps(report, grid, theta):
@@ -615,7 +630,7 @@ class TestAttackTwoBalls:
         obs = generate_observations(theta, TB_MAIN, 5, make_rng(303))
         report = attack(obs, theta, make_rng(404))
 
-        c = recover_center(obs, TB_MAIN.R)
+        c = recover_center(obs.positions, TB_MAIN.R)
         assert isinstance(c, UniqueCenter)
         grid = grid_posterior(
             lambda p: tb_log_posterior(p, c.center, obs),
@@ -637,7 +652,7 @@ class TestAttackTwoBalls:
 
         monkeypatch.setattr(inference, "grid_posterior", spy)
         report = attack(obs, ORIGIN, rng)
-        c = recover_center(obs, TB_MAIN.R).center
+        c = recover_center(obs.positions, TB_MAIN.R).center
         assert report.posterior_mean.distance_to(c) < TB_MAIN.r
         assert len(grids) == report.grids == 1
         for g in grids:
@@ -695,17 +710,11 @@ class TestAttackTwoBalls:
         assert report.posterior_mse == pytest.approx(expected, rel=0.01)
 
     def test_inconsistent_exits_surface(self, rng):
-        from privregion.strategies import ExitObservationSet
-
-        region = Disk(Point(0.0, 0.0), 3.0)
-        exits = tuple(
-            ExitPoint(Point(3.0 * math.cos(a), 3.0 * math.sin(a)), region)
-            for a in (0.0, 2.0, 4.0)
-        )
+        a = np.array([0.0, 2.0, 4.0])
+        z = 3.0 * np.column_stack([np.cos(a), np.sin(a)])
         # lie about the radius the attacker assumes
-        obs = ExitObservationSet(
-            TwoBalls(1.0, 2.5, BetaParams(4.0, 4.0)), exits, np.full(3, 9.0)
-        )
+        spec = TwoBalls(1.0, 2.5, BetaParams(4.0, 4.0))
+        obs = ExitObservationSet(spec, z, np.zeros((3, 2)), np.full(3, 3.0), np.full(3, 9.0))
         with pytest.raises(InconsistentExits):
             attack(obs, ORIGIN, rng)
 

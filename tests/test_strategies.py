@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from privregion.core import BetaParams, Disk, GammaParams, Point, make_rng
-from privregion.harmonic import ExitPoint
+from privregion.harmonic import PointNotOnBoundary, sample_exit_offsets
 from privregion.strategies import (
     EXACT,
     CalibrationResult,
@@ -41,20 +41,38 @@ class TestSpecValidation:
             TwoBalls(1.0, 1.0, BetaParams(1.0, 1.0))
 
     def test_observation_set_shapes(self):
-        region = Disk(ORIGIN, 1.0)
-        e = ExitPoint(Point(1.0, 0.0), region)
+        z = np.array([[1.0, 0.0]])
+        c = np.zeros((1, 2))
+        ExitObservationSet(FixedRadius(1.0), z, c, [1.0], [1.0])
         with pytest.raises(ValueError):
-            ExitObservationSet(FixedRadius(1.0), (e,), np.array([1.0, 2.0]))
+            ExitObservationSet(FixedRadius(1.0), z, c, [1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
-            ExitObservationSet(FixedRadius(1.0), (), np.array([]))
+            ExitObservationSet(FixedRadius(1.0), z, c, [1.0, 1.0], [1.0])
+        with pytest.raises(ValueError):
+            ExitObservationSet(FixedRadius(1.0), z, np.zeros(2), [1.0], [1.0])
+        with pytest.raises(ValueError):
+            ExitObservationSet(FixedRadius(1.0), z.T, c, [1.0], [1.0])
+        with pytest.raises(ValueError):
+            ExitObservationSet(FixedRadius(1.0), np.zeros((0, 2)), np.zeros((0, 2)), [], [])
+
+    def test_off_circle_exit_refused(self):
+        # exits must lie on their region's boundary within BOUNDARY_RTOL
+        c = np.zeros((3, 2))
+        on = np.array([[1.0, 0.0], [0.0, 2.0], [-1.0, 0.0]])
+        radii = np.array([1.0, 2.0, 1.0])
+        ExitObservationSet(RR_MAIN, on, c, radii, (on**2).sum(axis=1))
+        for z in ([0.0, 1.9], [0.0, 2.1]):
+            off = on.copy()
+            off[1] = z
+            with pytest.raises(PointNotOnBoundary, match="exit 1"):
+                ExitObservationSet(RR_MAIN, off, c, radii, (off**2).sum(axis=1))
 
     def test_two_balls_exits_share_region(self):
-        r1 = Disk(ORIGIN, 3.0)
-        r2 = Disk(Point(0.1, 0.0), 3.0)
-        e1 = ExitPoint(Point(3.0, 0.0), r1)
-        e2 = ExitPoint(Point(3.1, 0.0), r2)
+        z = np.array([[3.0, 0.0], [3.1, 0.0]])
         with pytest.raises(ValueError, match="share"):
-            ExitObservationSet(TB_MAIN, (e1, e2), np.array([9.0, 9.61]))
+            ExitObservationSet(TB_MAIN, z, [[0.0, 0.0], [0.1, 0.0]], [3.0, 3.0], [9.0, 9.61])
+        with pytest.raises(ValueError, match="share"):
+            ExitObservationSet(TB_MAIN, z, [[0.0, 0.0], [0.0, 0.0]], [3.0, 3.1], [9.0, 9.61])
 
     def test_sps_read_only(self, rng):
         obs = generate_observations(ORIGIN, RR_MAIN, 5, rng)
@@ -62,14 +80,27 @@ class TestSpecValidation:
             obs.sps[0] = 0.0
 
     def test_positions_stored_once_read_only(self, rng):
-        obs = generate_observations(ORIGIN, RR_MAIN, 5, rng)
+        theta = Point(2.0, -1.0)
+        obs = generate_observations(theta, RR_MAIN, 5, make_rng(8))
         pos = obs.positions
         assert obs.positions is pos
-        assert not pos.flags.writeable
         assert pos.shape == (5, 2)
-        assert np.array_equal(pos, [[e.pos.x, e.pos.y] for e in obs.exits])
-        with pytest.raises(ValueError):
-            pos[0, 0] = 0.0
+        # the same draws, redone by hand: theta plus the exit's offset from it
+        rng = make_rng(8)
+        radii = np.sqrt(rng.gamma(4.0, 0.25, size=5))
+        rel = sample_exit_offsets(np.zeros((5, 2)), radii, 5, rng)
+        assert np.array_equal(pos, theta.as_array() + rel)
+        assert np.array_equal(obs.radii, radii)
+        for arr in (obs.positions, obs.centers, obs.radii, obs.sps):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_inputs_are_copied(self):
+        z = np.array([[1.0, 0.0]])
+        obs = ExitObservationSet(FixedRadius(1.0), z, np.zeros((1, 2)), [1.0], [1.0])
+        z[0, 0] = 5.0
+        assert obs.positions[0, 0] == 1.0 and z.flags.writeable
 
     def test_shared_region_only_for_two_balls(self, rng):
         obs = generate_observations(ORIGIN, RR_MAIN, 3, rng)
@@ -127,7 +158,8 @@ class TestGenerateObservations:
     def test_two_balls_share_one_region(self, rng):
         obs = generate_observations(ORIGIN, TB_MAIN, 40, rng)
         region = obs.shared_region
-        assert all(e.region == region for e in obs.exits)
+        assert np.all(obs.centers == region.center.as_array())
+        assert np.all(obs.radii == region.radius)
         d = np.hypot(
             obs.positions[:, 0] - region.center.x, obs.positions[:, 1] - region.center.y
         )
@@ -135,8 +167,8 @@ class TestGenerateObservations:
 
     def test_random_radius_regions_independent(self, rng):
         obs = generate_observations(ORIGIN, RR_MAIN, 30, rng)
-        radii = {e.region.radius for e in obs.exits}
-        assert len(radii) == 30
+        assert len(set(obs.radii.tolist())) == 30
+        assert np.all(obs.centers == 0.0)
 
     def test_rr_sps_are_gamma(self, rng):
         obs = generate_observations(ORIGIN, RR_MAIN, 10_000, rng)

@@ -13,13 +13,11 @@ from privregion.trajectory import (
     MaxStepsExceeded,
     TrackFormatError,
     Trajectory,
-    cut_first_exit,
     cut_privacy_region,
     default_exit_dt,
     read_track,
     simulate_brownian,
     simulate_exit_offsets,
-    simulate_until_exit,
     squared_perturbation,
     write_track,
 )
@@ -117,19 +115,18 @@ class TestDefaultExitDt:
 
 class TestSimulateUntilExit:
     def test_exit_sample_is_first_outside(self, rng):
-        tr, k = simulate_until_exit((0.0, 0.0), UNIT, 1.0, 1e-3, 1_000_000, rng)
-        d = np.hypot(tr.positions[:, 0], tr.positions[:, 1])
-        assert k == len(tr) - 1
-        assert d[k] > 1.0
-        assert np.all(d[:k] <= 1.0)
+        # each path stops at its first sample outside its own disk
+        starts = np.array([[0.0, 0.0], [0.5, -0.2], [3.0, 1.0]])
+        radii = np.array([1.0, 0.8, 4.0])
+        out = simulate_exit_offsets(starts, radii, 1.0, 1e-3, 1_000_000, rng)
+        d = np.hypot(out[:, 0], out[:, 1])
+        assert np.all(d > radii)
+        assert np.all(d < radii + 10.0 * math.sqrt(1e-3))
 
     def test_overshoot_small_at_fine_dt(self, rng):
         dt = default_exit_dt(1.0, 1.0)
-        radii = []
-        for _ in range(200):
-            tr, k = simulate_until_exit((0.0, 0.0), UNIT, 1.0, dt, 1_000_000, rng)
-            radii.append(math.hypot(*tr.positions[k]))
-        mean_r = float(np.mean(radii))
+        out = simulate_exit_offsets(np.zeros((200, 2)), np.ones(200), 1.0, dt, 1_000_000, rng)
+        mean_r = float(np.hypot(out[:, 0], out[:, 1]).mean())
         # overshoot is O(sqrt(sigma2 dt)) = 0.01 here
         assert 1.0 < mean_r < 1.05
 
@@ -140,14 +137,10 @@ class TestSimulateUntilExit:
         se = out.std(axis=0) / math.sqrt(len(out))
         assert np.all(np.abs(out.mean(axis=0) - [0.5, 0.0]) < 5.0 * se)
 
-    def test_budget_guard(self, rng):
-        big = Disk(Point(0.0, 0.0), 1e6)
-        with pytest.raises(MaxStepsExceeded):
-            simulate_until_exit((0.0, 0.0), big, 1.0, 1e-3, 10, rng)
-
     def test_start_on_boundary_rejected(self, rng):
+        starts = np.array([[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
-            simulate_until_exit((1.0, 0.0), UNIT, 1.0, 1e-3, 100, rng)
+            simulate_exit_offsets(starts, np.ones(2), 1.0, 1e-3, 100, rng)
 
     def test_offsets_budget_guard(self, rng):
         with pytest.raises(MaxStepsExceeded):
@@ -180,14 +173,6 @@ class TestCutting:
         # Exactly on the boundary counts as inside.
         tr = track((0.0, 0.0), (1.0, 0.0), (0.0, 0.0))
         assert cut_privacy_region(tr, UNIT).published is None
-
-    def test_first_exit_keeps_tail(self):
-        tr = track((0.0, 0.0), (2.0, 0.0), (0.1, 0.0), (0.2, 0.0))
-        cut = cut_first_exit(tr, UNIT)
-        assert cut.t1 == 1.0 and cut.t2 == 3.0
-        assert np.array_equal(cut.published.positions, tr.positions[1:])
-        # tail is kept, so only the start moves: ||(2,0) - (0,0)||^2
-        assert cut.sp == pytest.approx(4.0)
 
     def test_cut_idempotent(self, rng):
         tr = simulate_brownian((0.2, 0.1), 1.0, 0.01, 400, rng)
