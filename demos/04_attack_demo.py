@@ -7,8 +7,6 @@ calibrated random-radius strategy every exit is centered on the home
 itself, and the posterior collapses onto it.
 """
 
-import numpy as np
-
 from privregion.core import BetaParams, Point, make_rng
 from privregion.inference import UniqueCenter, attack, recover_center
 from privregion.strategies import (

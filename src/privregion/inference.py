@@ -1,14 +1,25 @@
 """Bayesian attacks that recover a home location from exit observations.
 
-The attacker sees exit points and knows the strategy parameters. Under a
-uniform improper prior on theta, each strategy yields a tractable
-unnormalized posterior:
+The attacker sees exit points and knows the strategy parameters. Each
+strategy yields a tractable unnormalized posterior:
 
-* random-radius: sum of Gamma log-densities of the squared exit distances
-  (with a 1/pi planar change of variables);
-* two-balls: a Beta prior on the normalized squared offset ||theta - c||^2/r^2
-  plus the product of disk exit densities; the shared center c is itself
+* random-radius: a uniform improper prior on theta times the Gamma
+  densities of the squared exit distances (with a 1/pi planar change of
+  variables);
+* two-balls: the Beta placement prior, under which the normalized squared
+  offset ||theta - c||^2/r^2 of theta from the shared center c follows
+  Beta(alpha, beta), times the product of disk exit densities; c itself is
   pinned down by the exits (exactly, for three or more).
+
+Both likelihoods hold the exit term sum_i log|z_i - theta|^2, and both
+evaluate it through one local expansion of the 2-D log potential
+(`_sep_expansion`): about c with reach r for two-balls, and for
+random-radius about the center of its window (the Laplace mode, or the
+fallback box's center) with a reach to the window's corners; points a
+refinement pads past them take the direct sum. Exits far from the expansion point enter through
+coefficients computed once, so a grid point costs a few dozen terms plus
+the near exits, whatever the exit count. The rest of the random-radius
+likelihood, sum_i |z_i - theta|^2, is a quadratic in theta.
 
 Every attack integrates its posterior with the midpoint rule on a grid
 (`grid_posterior`), so it is deterministic and exact up to the grid. The
@@ -16,9 +27,7 @@ windows come from attacker-visible data: the known support square for
 two-balls, the Laplace approximation at the Newton mode or a Gamma-quantile
 box around the exits for random-radius. A window is refined when the
 posterior sd spans too few cells, and an attack fails with
-`DiagnosticsFailed` when a window truncates visible mass. For two-balls the
-exits enter through sufficient statistics: the Fourier coefficients of the
-Poisson kernel, so a grid point costs the same whatever the exit count.
+`DiagnosticsFailed` when a window truncates visible mass.
 Fixed-radius regions need no integration at all: every region is centered
 on theta with the known radius, so theta is the circle center that
 `recover_center` finds, one point for three or more exits and in closed
@@ -78,13 +87,16 @@ CENTER_FIT_RTOL = 1e-6
 
 # Largest number of (grid point, exit) pairs a log-target evaluates at once:
 # grid_posterior sizes its blocks by it, so memory does not grow with the
-# exit count. At 2^14 pairs (128 KB per float array) the random-radius
-# target's five temporaries stay in a 1 MB L2 cache: 2.7 ns per pair on a
-# 2-core AMD EPYC, against 5.3 ns at 2^15 and 7.1 ns at 2^17.
+# exit count. The figures are for the direct sum of _sep_expansion, the path
+# every exit takes when none is far from the expansion point: at 2^14 pairs
+# (128 KB per float array) its four temporaries stay in a 1 MB L2 cache,
+# 2.6 ns per pair in a random-radius target at 1600 exits on a 2-core AMD
+# EPYC, against 6.1 ns at 2^15 and 6.2 ns at 2^17.
 PAIR_BUDGET = 2**14
 
-# The Poisson-kernel series keeps K terms, (r/R)^K <= SERIES_TOL: below the
-# rounding of any float it is added to.
+# The local expansion keeps K terms, x^K <= SERIES_TOL at the largest ratio
+# x of the reach to a far exit's distance: below the rounding of any float
+# it is added to.
 SERIES_TOL = 1e-17
 
 # A Laplace window spans +- WINDOW_SD posterior sd (a Gaussian tail of
@@ -288,14 +300,111 @@ def _theta_batch(theta) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
-def _rr_logpost(pts: np.ndarray, z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    dx = pts[:, 0:1] - z[:, 0]
-    dy = pts[:, 1:2] - z[:, 1]
-    s = dx * dx
-    s += dy * dy
-    np.maximum(s, SQ_DIST_FLOOR, out=s)
-    const = len(z) * (alpha * math.log(beta) - float(gammaln(alpha)) - math.log(math.pi))
-    return const + (alpha - 1.0) * np.log(s).sum(axis=1) - beta * s.sum(axis=1)
+def _sep_expansion(z: np.ndarray, m: np.ndarray, rho: float):
+    """(sep, pairs per point) with sep(pts) = sum_i log|z_i - theta|^2 for
+    theta in the disk |theta - m| <= rho.
+
+    In complex numbers, with u_i = z_i - m and w = theta - m,
+    log|z_i - theta|^2 = log|u_i|^2 - 2 Re sum_k (w/u_i)^k / k: the local
+    expansion of the 2-D log potential about m (Greengard and Rokhlin,
+    1987), which two-balls knows as the Poisson kernel's Fourier series
+    about its center. Far exits, |u_i| >= 2 rho, go through it: with s the
+    smallest far |u_i|, the coefficients S_k = sum_i (s/u_i)^k are computed
+    once and each theta costs K terms whatever the exit count. K makes
+    x^K <= SERIES_TOL at the largest ratio x = rho/|u_i| <= 1/2, so the
+    truncation error, below n x^(K+1) / (1 - x), is under float rounding.
+    Near exits go through the direct sum, their squared distances clamped
+    at SQ_DIST_FLOOR, and so do all exits when the series needs no fewer
+    terms than there are far exits. A point outside the disk, where the
+    series is not built to hold, takes the direct sum over every exit.
+
+    pairs per point counts the (point, exit) pairs sep holds in memory per
+    point: the near exits, plus one for the series accumulator.
+    """
+    n = len(z)
+    mx, my = float(m[0]), float(m[1])
+
+    def direct(pts: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        dx = pts[:, 0:1] - zs[:, 0]
+        dy = pts[:, 1:2] - zs[:, 1]
+        s = dx * dx
+        s += dy * dy
+        np.maximum(s, SQ_DIST_FLOOR, out=s)
+        return np.log(s).sum(axis=1)
+
+    ux = z[:, 0] - mx
+    uy = z[:, 1] - my
+    d2 = ux * ux + uy * uy
+    far = (d2 >= 4.0 * rho * rho) & (d2 > 0.0)
+    n_far = int(far.sum())
+    K = n_far
+    if n_far:
+        scale = math.sqrt(float(d2[far].min()))
+        x = rho / scale
+        K = 1 if x == 0.0 else max(1, math.ceil(math.log(SERIES_TOL) / math.log(x)))
+    if K >= n_far:
+        return (lambda pts: direct(pts, z)), n
+
+    near = z[~far]
+    const = float(np.log(d2[far]).sum())
+    v = scale / (ux[far] + 1j * uy[far])
+    coef = np.empty(K, dtype=complex)
+    power = np.ones_like(v)
+    for k in range(K):
+        power *= v
+        coef[k] = power.sum() / (k + 1)
+    out_block = max(1, PAIR_BUDGET // n)
+
+    def sep(pts: np.ndarray) -> np.ndarray:
+        wx = pts[:, 0] - mx
+        wy = pts[:, 1] - my
+        r2 = wx * wx
+        r2 += wy * wy
+        if len(pts) and r2.max() > rho * rho:
+            inside = r2 <= rho * rho
+            out = np.empty(len(pts))
+            outside = np.nonzero(~inside)[0]
+            for lo in range(0, len(outside), out_block):
+                idx = outside[lo : lo + out_block]
+                out[idx] = direct(pts[idx], z)
+            out[inside] = sep(pts[inside])
+            return out
+        w = (wx + 1j * wy) / scale
+        acc = np.full(len(w), coef[-1])
+        for a in coef[-2::-1]:
+            acc *= w
+            acc += a
+        total = const - 2.0 * (acc * w).real
+        if len(near):
+            total += direct(pts, near)
+        return total
+
+    return sep, len(near) + 1
+
+
+def _rr_target(z: np.ndarray, alpha: float, beta: float, window):
+    """(log target, pairs per point) of random-radius on the window
+    (x0, x1, y0, y1).
+
+    log f_Gamma(s_i) - log pi summed over exits, s_i = |z_i - theta|^2: the
+    log terms go through _sep_expansion about the window's center m, with a
+    reach to its corners, and sum_i s_i, with u_i = z_i - m and
+    w = theta - m, is n |w|^2 - 2 w . sum_i u_i + sum_i |u_i|^2.
+    """
+    x0, x1, y0, y1 = window
+    m = np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
+    n = len(z)
+    sep, width = _sep_expansion(z, m, 0.5 * math.hypot(x1 - x0, y1 - y0))
+    u = z - m
+    slope = 2.0 * beta * u.sum(axis=0)
+    const = n * (alpha * math.log(beta) - float(gammaln(alpha)) - math.log(math.pi))
+    const -= beta * float((u * u).sum())
+
+    def target(pts: np.ndarray) -> np.ndarray:
+        w = pts - m
+        return const + (alpha - 1.0) * sep(pts) - (w * (beta * n * w - slope)).sum(axis=1)
+
+    return target, width
 
 
 def rr_log_posterior(theta, obs: ExitObservationSet):
@@ -308,79 +417,22 @@ def rr_log_posterior(theta, obs: ExitObservationSet):
     if not isinstance(spec, RandomRadius):
         raise TypeError(f"observations carry {type(spec).__name__}, not RandomRadius")
     pts, single = _theta_batch(theta)
-    out = _rr_logpost(pts, obs.positions, spec.gamma.alpha, spec.gamma.beta)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    window = (lo[0], hi[0], lo[1], hi[1])
+    target, _ = _rr_target(obs.positions, spec.gamma.alpha, spec.gamma.beta, window)
+    out = target(pts)
     return float(out[0]) if single else out
-
-
-def _series_terms(z: np.ndarray, c: np.ndarray, r: float) -> int | None:
-    """Terms K the Poisson-kernel series needs on the disk |theta - c| < r.
-
-    None when an exit lies within r of c, where the series diverges.
-    """
-    rho = r / float(np.sqrt(((z - c) ** 2).sum(axis=1)).min())
-    if not rho < 1.0:
-        return None
-    return max(1, math.ceil(math.log(SERIES_TOL) / math.log(rho)))
-
-
-def _sep_series(z: np.ndarray, c: np.ndarray, K: int):
-    """sum_i log|z_i - theta|^2 for theta near c, from K Fourier terms.
-
-    In complex numbers, with u_i = z_i - c, s the mean |u_i|, v_i = s/u_i
-    and w = (theta - c)/s: log|z_i - theta|^2 = log|u_i|^2 + log|1 - w v_i|^2
-    and log|1 - x|^2 = -2 Re sum_k x^k/k. So the sum is
-    sum_i log|u_i|^2 - 2 Re sum_k (w^k/k) S_k with S_k = sum_i v_i^k, the
-    Fourier coefficients of the exits' Poisson kernel. They are computed
-    once; each theta then costs O(K) whatever the exit count. The
-    truncation error is below n rho^(K+1) / (1 - rho), rho = max |w v_i|,
-    which K from _series_terms keeps under float rounding.
-    """
-    u = (z[:, 0] - c[0]) + 1j * (z[:, 1] - c[1])
-    scale = float(np.abs(u).mean())
-    v = scale / u
-    const = float(np.log(u.real**2 + u.imag**2).sum())
-    coef = np.empty(K, dtype=complex)
-    power = np.ones_like(v)
-    for k in range(K):
-        power *= v
-        coef[k] = power.sum() / (k + 1)
-
-    def sep(pts: np.ndarray) -> np.ndarray:
-        w = ((pts[:, 0] - c[0]) + 1j * (pts[:, 1] - c[1])) / scale
-        acc = np.full(len(w), coef[-1])
-        for a in coef[-2::-1]:
-            acc *= w
-            acc += a
-        return const - 2.0 * (acc * w).real
-
-    return sep
-
-
-def _sep_direct(z: np.ndarray):
-    """sum_i log|z_i - theta|^2 by the direct sum over exits."""
-
-    def sep(pts: np.ndarray) -> np.ndarray:
-        dx = pts[:, 0:1] - z[:, 0]
-        dy = pts[:, 1:2] - z[:, 1]
-        s = dx * dx
-        s += dy * dy
-        return np.log(np.maximum(s, 1e-300)).sum(axis=1)
-
-    return sep
 
 
 def _tb_target(z: np.ndarray, c: np.ndarray, r: float, R: float, alpha: float, beta: float):
     """(log target, pairs per point) of two-balls with center c known.
 
-    The exit term goes through the Fourier series when it needs fewer terms
-    than there are exits, and through the direct sum otherwise.
+    The support is the disk |theta - c| < r, so the exit term is
+    _sep_expansion about c with reach r: every exit lies R > r from c, and
+    is far when R >= 2r, as in every study setting.
     """
     n = len(z)
-    K = _series_terms(z, c, r)
-    if K is not None and K < n:
-        sep, width = _sep_series(z, c, K), 1
-    else:
-        sep, width = _sep_direct(z), n
+    sep, width = _sep_expansion(z, c, r)
     const = (
         -float(betaln(alpha, beta))
         - math.log(math.pi * r * r)
@@ -842,8 +894,6 @@ def _attack_rr(obs: ExitObservationSet, theta_true, cfg: AttackConfig):
     spec = obs.strategy
     a, b = spec.gamma.alpha, spec.gamma.beta
     z = obs.positions
-    n = len(z)
-    target = lambda pts: _rr_logpost(pts, z, a, b)
     grids = nodes = 0
     laplace = _rr_laplace(z, a, b)
     if laplace is not None:
@@ -852,12 +902,15 @@ def _attack_rr(obs: ExitObservationSet, theta_true, cfg: AttackConfig):
         if sd.max() <= LAPLACE_SD_RATIO * _radius_sd(a, b):
             lo, hi = mode - WINDOW_SD * sd, mode + WINDOW_SD * sd
             window = (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
-            gp, edge, grids, nodes = _integrate(target, window, cfg.quad_nodes, n)
+            target, width = _rr_target(z, a, b, window)
+            gp, edge, grids, nodes = _integrate(target, window, cfg.quad_nodes, width)
             if edge <= EDGE_MASS_MAX:
                 return (gp.mean, *gp.mse_against(theta_true), edge, grids, nodes)
     # Small n, or a posterior the Laplace window does not hold: integrate
     # over every place the exits allow.
-    gp, edge, more, wide_nodes = _integrate(target, quadrature_window(obs), cfg.quad_nodes, n)
+    box = quadrature_window(obs)
+    target, width = _rr_target(z, a, b, box)
+    gp, edge, more, wide_nodes = _integrate(target, box, cfg.quad_nodes, width)
     _check_edge(edge)
     return (gp.mean, *gp.mse_against(theta_true), edge, grids + more, max(nodes, wide_nodes))
 

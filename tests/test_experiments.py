@@ -2,7 +2,6 @@ import csv
 import json
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from privregion.core import Disk, Point, make_rng
+from privregion.core import Disk, Point
 from privregion.harmonic import (
     PointNotOnBoundary,
     ThetaOutsideRegion,

@@ -11,7 +11,6 @@ from privregion.core import BetaParams, GammaParams, Point, derive_rng, make_rng
 from privregion.harmonic import harmonic_log_density
 from privregion.inference import (
     AdaptationFailed,
-    AttackConfig,
     AttackReport,
     CenterArc,
     CenterPair,
@@ -37,6 +36,7 @@ from privregion.strategies import (
     FixedRadius,
     RandomRadius,
     TwoBalls,
+    calibrate_random_radius,
     generate_observations,
 )
 
@@ -203,7 +203,22 @@ class TestTbLogPosterior:
             tb_log_posterior(ORIGIN, ORIGIN, obs)
 
 
+def _direct_sep(theta, z):
+    """sum_i log|z_i - theta|^2 term by term, clamped as the attack clamps."""
+    d2 = ((theta[:, None, :] - z[None, :, :]) ** 2).sum(axis=2)
+    return np.log(np.maximum(d2, inference.SQ_DIST_FLOOR))
+
+
+def _in_disk(rng, m, rho, k):
+    """k points uniform in the disk |theta - m| <= rho, the last 4 on its rim."""
+    rad = rho * np.sqrt(rng.uniform(0.0, 1.0, k))
+    rad[-4:] = rho
+    ang = rng.uniform(0.0, 2.0 * math.pi, k)
+    return m + rad[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+
+
 class TestPoissonKernelSeries:
+    # Two-balls' exit term: _sep_expansion about the center c with reach r.
     @settings(max_examples=200, deadline=None)
     @given(
         st.floats(1e-6, 0.9),
@@ -223,17 +238,34 @@ class TestPoissonKernelSeries:
         ang = rng.uniform(0.0, 2.0 * math.pi, 30)
         theta = c + rho[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
 
-        K = inference._series_terms(z, c, r)
-        assert K == math.ceil(math.log(1e-17) / math.log(r / np.hypot(*(z - c).T).min()))
-        series = inference._sep_series(z, c, K)(theta)
+        sep, pairs = inference._sep_expansion(z, c, r)
+        # exits at least 2r from c take the series, with K terms for the
+        # largest ratio r/|z_i - c|, when K is below their count
+        d2 = ((z - c) ** 2).sum(axis=1)
+        far = d2 >= 4.0 * r * r
+        if far.any():
+            K = math.ceil(math.log(1e-17) / math.log(r / math.sqrt(d2[far].min())))
+            assert pairs == (n - far.sum() + 1 if K < far.sum() else n)
+        else:
+            assert pairs == n
         terms = np.log(((theta[:, None, :] - z[None, :, :]) ** 2).sum(axis=2))
         scale = np.maximum(np.abs(terms).sum(axis=1), 1.0)
-        assert np.all(np.abs(series - terms.sum(axis=1)) <= 1e-12 * scale)
+        assert np.all(np.abs(sep(theta) - terms.sum(axis=1)) <= 1e-12 * scale)
 
     def test_forty_three_terms_at_r_over_R_of_0_4(self):
-        z = np.array([[5.0, 0.0], [0.0, 5.0], [-5.0, 0.0]])
-        assert inference._series_terms(z, np.zeros(2), 2.0) == 43
-        assert inference._series_terms(z, np.zeros(2), 5.0) is None
+        # K = 43 at r/R = 0.4: the series runs once it is cheaper than the
+        # direct sum, from 44 exits on
+        def ring(n):
+            phi = 2.0 * math.pi * np.arange(n) / n
+            return 5.0 * np.column_stack([np.cos(phi), np.sin(phi)])
+
+        assert inference._sep_expansion(ring(43), np.zeros(2), 2.0)[1] == 43
+        assert inference._sep_expansion(ring(44), np.zeros(2), 2.0)[1] == 1
+        # r = R: the series would diverge, so every exit takes the direct sum
+        sep, pairs = inference._sep_expansion(ring(200), np.zeros(2), 5.0)
+        assert pairs == 200
+        theta = _in_disk(make_rng(3), np.zeros(2), 4.9, 20)
+        assert np.allclose(sep(theta), _direct_sep(theta, ring(200)).sum(axis=1), rtol=1e-13)
 
     def test_log_posterior_takes_the_series_above_K_exits(self, rng):
         # n = 200 > K = 43 at r/R = 0.4: the series path against the
@@ -248,6 +280,70 @@ class TestPoissonKernelSeries:
             prior = stats.beta(4.0, 4.0).logpdf(u) - math.log(math.pi * spec.r**2)
             harm = sum(harmonic_log_density(z, theta, region) for z in obs.positions)
             assert tb_log_posterior(theta, c, obs) == pytest.approx(prior + harm, rel=1e-11)
+
+
+class TestLocalExpansion:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.floats(1e-3, 1e3),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_direct_sum(self, n, rho, near_share, seed):
+        # exit clouds with near exits (|z - m| < 2 rho, some within reach of
+        # theta) and far ones out to 1000 rho; theta anywhere in the disk
+        rng = make_rng(seed)
+        m = rng.uniform(-100.0, 100.0, size=2)
+        near = rng.random(n) < near_share
+        far = np.exp(rng.uniform(math.log(2.0), math.log(1e3), n))
+        dist = rho * np.where(near, rng.uniform(0.0, 2.0, n), far)
+        phi = rng.uniform(0.0, 2.0 * math.pi, n)
+        z = m + dist[:, None] * np.column_stack([np.cos(phi), np.sin(phi)])
+        theta = _in_disk(rng, m, rho, 40)
+
+        sep, pairs = inference._sep_expansion(z, m, rho)
+        assert 1 <= pairs <= n
+        terms = _direct_sep(theta, z)
+        tol = 1e-12 * np.maximum(np.abs(terms).sum(axis=1), 1.0)
+        assert np.all(np.abs(sep(theta) - terms.sum(axis=1)) <= tol)
+
+    def test_points_beyond_reach_take_the_direct_sum(self, monkeypatch):
+        # 400 far exits: the series serves the disk; points outside it, as a
+        # refined window's padding can reach, still get the exact sum, in
+        # blocks of at most PAIR_BUDGET pairs
+        rng = make_rng(8)
+        phi = rng.uniform(0.0, 2.0 * math.pi, 400)
+        z = 3.0 * np.column_stack([np.cos(phi), np.sin(phi)])
+        sep, pairs = inference._sep_expansion(z, np.zeros(2), 0.5)
+        assert pairs == 1
+        monkeypatch.setattr(inference, "PAIR_BUDGET", 4000)
+        sep, _ = inference._sep_expansion(z, np.zeros(2), 0.5)
+        theta = np.concatenate(
+            [_in_disk(rng, np.zeros(2), 0.5, 30), _in_disk(rng, np.zeros(2), 1.4, 30)]
+        )
+        want = _direct_sep(theta, z).sum(axis=1)
+        assert np.allclose(sep(theta), want, rtol=1e-13, atol=0.0)
+
+    def test_random_radius_grid_cost_stops_growing_with_n(self, monkeypatch):
+        # r1-R3-a4-b4's matched Gamma at n = 1600: every grid of the attack
+        # holds fewer than 100 (point, exit) pairs per point, against 1600
+        # for the direct sum
+        cal = calibrate_random_radius(TB_MAIN, 100_000, derive_rng(1, 0))
+        spec = RandomRadius(cal.matched_gamma)
+        real = inference.grid_posterior
+        widths = []
+
+        def spy(log_target, window, n, pairs_per_point=1):
+            widths.append(pairs_per_point)
+            return real(log_target, window, n, pairs_per_point)
+
+        monkeypatch.setattr(inference, "grid_posterior", spy)
+        for rep in range(6):
+            obs = generate_observations(ORIGIN, spec, 1600, derive_rng(2, rep))
+            attack(obs, ORIGIN, None)
+        assert len(widths) >= 6
+        assert max(widths) < 100
 
 
 class TestRwmSample:

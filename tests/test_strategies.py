@@ -7,7 +7,6 @@ from scipy import stats
 from privregion.core import BetaParams, Disk, GammaParams, Point, make_rng
 from privregion.harmonic import PointNotOnBoundary, sample_exit_offsets
 from privregion.strategies import (
-    EXACT,
     CalibrationResult,
     DegenerateVariance,
     ExitObservationSet,
