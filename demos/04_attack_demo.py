@@ -36,7 +36,7 @@ print(f"  quadrature: {rep_tb.grids} grid(s) of {rep_tb.nodes}x{rep_tb.nodes}, "
       f"edge mass {rep_tb.edge_mass:.2g}, {rep_tb.wall_time * 1e3:.1f} ms")
 
 # same utility cost, per-trajectory regions centered on the home
-cal = calibrate_random_radius(tb, 100_000, make_rng(1))
+cal = calibrate_random_radius(tb)
 rr = RandomRadius(cal.matched_gamma)
 obs_rr = generate_observations(home, rr, n, rng)
 rep_rr = attack(obs_rr, home, rng)

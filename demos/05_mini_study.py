@@ -18,7 +18,6 @@ config = ScenarioConfig(
     settings=TABLE1_SETTINGS[:2],
     n_trajectories=20,
     n_replicates=20,
-    calibration_draws=20_000,
 )
 study = run_table1(config)
 

@@ -65,8 +65,7 @@ TABLE1_SETTINGS: tuple[TwoBalls, ...] = (
 # Stream-path task codes; fixed forever so seeds stay meaningful.
 _TASK_TABLE1 = 1
 _TASK_CURVE = 2
-_TASK_CALIBRATE = 3
-_TASK_ATTACK = 4
+_TASK_ATTACK = 4  # 3 is retired
 _TASK_OBFUSCATE = 5
 _TASK_BENCH = 6
 
@@ -91,7 +90,7 @@ class ScenarioConfig:
     n_trajectories: int = 50
     n_replicates: int = 100
     sample_sizes: tuple[int, ...] = (5, 10, 20, 50, 100, 200)
-    calibration_draws: int = 100_000
+    calibration_draws: int = 100_000  # SP draws per strategy in run_curve's histograms
     bench_repeats: int = 3
     threads: int = 1
     sampler: AttackConfig = AttackConfig()
@@ -246,7 +245,6 @@ def _calibration_rows(settings, calibs) -> list[list]:
                 tb.R,
                 tb.beta.alpha,
                 tb.beta.beta,
-                cal.n_draws,
                 cal.sp_mean,
                 cal.sp_var,
                 cal.matched_gamma.alpha,
@@ -256,19 +254,14 @@ def _calibration_rows(settings, calibs) -> list[list]:
     return rows
 
 
-_CALIB_HEADER = ["setting", "r", "R", "alpha", "beta", "n_draws", "sp_mean", "sp_var", "matched_alpha", "matched_beta"]
+_CALIB_HEADER = ["setting", "r", "R", "alpha", "beta", "sp_mean", "sp_var", "matched_alpha", "matched_beta"]
 
 
 def run_calibrate(config: ScenarioConfig) -> StudyResult:
     """Moment-match a random-radius counterpart for every configured setting."""
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    calibs = tuple(
-        calibrate_random_radius(
-            tb, config.calibration_draws, derive_rng(config.master_seed, _TASK_CALIBRATE, idx)
-        )
-        for idx, tb in enumerate(config.settings)
-    )
+    calibs = tuple(calibrate_random_radius(tb) for tb in config.settings)
     path = out / "calibration.csv"
     _write_csv(path, _CALIB_HEADER, _calibration_rows(config.settings, calibs))
     return StudyResult(out, {"calibration": path}, (), (), calibs)
@@ -299,7 +292,9 @@ def run_table1(config: ScenarioConfig) -> StudyResult:
     """The six-setting comparison: calibrate, attack both strategies, summarize.
 
     Emits calibration.csv, results.csv (+ timings.csv), and summary.csv with
-    the 10^5-draw mean SP and the replicate MSE quantiles per strategy.
+    the exact mean SP and the replicate MSE quantiles per strategy. Both
+    strategies share that mean SP up to rounding: random-radius reports its
+    matched Gamma's mean alpha/beta.
     """
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -313,12 +308,7 @@ def run_table1(config: ScenarioConfig) -> StudyResult:
         tag = setting_tag(tb)
         plan.append((tag, idx, specs, config.n_trajectories))
         mean_sp[tag, "two-balls"] = cal.sp_mean
-        rr_draws = sample_sps(
-            specs[_STRAT_RR],
-            config.calibration_draws,
-            derive_rng(config.master_seed, _TASK_CALIBRATE, idx, 1),
-        )
-        mean_sp[tag, "random-radius"] = float(rr_draws.mean())
+        mean_sp[tag, "random-radius"] = cal.matched_gamma.mean
 
     rows = _replicate_rows(config, _TASK_TABLE1, plan)
     files = dict(calib_res.files)
@@ -355,11 +345,8 @@ def run_curve(config: ScenarioConfig) -> StudyResult:
     """
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    idx = config.curve_setting_index
-    tb = config.settings[idx]
-    cal = calibrate_random_radius(
-        tb, config.calibration_draws, derive_rng(config.master_seed, _TASK_CALIBRATE, idx)
-    )
+    tb = config.settings[config.curve_setting_index]
+    cal = calibrate_random_radius(tb)
     specs = _strategy_pair(tb, cal)
     tag = setting_tag(tb)
 
@@ -409,7 +396,8 @@ def run_curve(config: ScenarioConfig) -> StudyResult:
     )
     files["mse_curve_svg"] = curve_svg
 
-    # SP distributions of the calibrated pair, on shared bins.
+    # SP distributions of the calibrated pair, on shared bins, from
+    # calibration_draws draws each.
     draws = {
         strat: sample_sps(
             specs[code],
@@ -483,11 +471,8 @@ def run_bench(config: ScenarioConfig) -> BenchResult:
     """
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    idx = config.curve_setting_index
-    tb = config.settings[idx]
-    cal = calibrate_random_radius(
-        tb, config.calibration_draws, derive_rng(config.master_seed, _TASK_CALIBRATE, idx)
-    )
+    tb = config.settings[config.curve_setting_index]
+    cal = calibrate_random_radius(tb)
     specs = _strategy_pair(tb, cal)
 
     rows = []

@@ -43,7 +43,7 @@ __all__ = [
 
 
 class DegenerateVariance(ValueError):
-    """SP draws had no spread, so no Gamma can be moment-matched to them."""
+    """The SP law has no spread in float arithmetic, so no Gamma can match it."""
 
 
 @dataclass(frozen=True)
@@ -163,12 +163,11 @@ class ExitObservationSet:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Gamma parameters whose first two moments match sampled SP moments."""
+    """Gamma parameters whose first two moments match the exact SP moments."""
 
     matched_gamma: GammaParams
     sp_mean: float
     sp_var: float
-    n_draws: int
 
     def __post_init__(self) -> None:
         g = self.matched_gamma
@@ -269,25 +268,29 @@ def sample_sps(spec: StrategySpec, n_draws: int, rng: np.random.Generator) -> np
     return (rel**2).sum(axis=1)
 
 
-def calibrate_random_radius(
-    spec_tb: TwoBalls, n_draws: int, rng: np.random.Generator
-) -> CalibrationResult:
-    """Gamma parameters matching the first two sample SP moments of `spec_tb`.
+def calibrate_random_radius(spec_tb: TwoBalls) -> CalibrationResult:
+    """Gamma parameters matching the exact first two SP moments of `spec_tb`.
 
-    Under the random-radius strategy SP ~ Gamma(alpha, beta) exactly, so
-    matching moments means alpha = m^2/v and beta = m/v for the sample mean
-    m and variance v of two-balls SP draws.
+    The exit density times |z - theta|^2 is constant on the circle, so for
+    a center at distance d from theta, E[SP | d] = R^2 - d^2 and
+    E[SP^2 | d] = R^4 - d^4. With d^2 = r^2 u, u ~ Beta(a, b) of mean mu and
+    variance s2, the mean is m = R^2 - r^2 mu and the variance is
+    v = r^2 (2 mu m - r^2 s2). m is computed as a sum of positive terms,
+    and 2 mu m exceeds r^2 s2 more than twice over, so neither cancels;
+    E[SP^2] - m^2 would lose every digit of v as r/R -> 0. Under
+    random-radius SP ~ Gamma(alpha, beta) exactly, so matching moments
+    means alpha = m^2/v and beta = m/v.
     """
     if not isinstance(spec_tb, TwoBalls):
         raise TypeError(f"calibration starts from a two-balls spec, got {spec_tb!r}")
-    if n_draws < 1000:
-        raise ValueError(f"need n_draws >= 1000 for stable moments, got {n_draws}")
-    sps = sample_sps(spec_tb, n_draws, rng)
-    m = float(sps.mean())
-    v = float(sps.var(ddof=1))
+    r, big_r, a, b = spec_tb.r, spec_tb.R, spec_tb.beta.alpha, spec_tb.beta.beta
+    mu = a / (a + b)
+    s2 = mu * b / ((a + b) * (a + b + 1.0))
+    m = (big_r - r) * (big_r + r) + r * r * (b / (a + b))  # R^2 - r^2 mu
+    v = r * r * (2.0 * mu * m - r * r * s2)
     if v <= 0.0:
-        raise DegenerateVariance(f"SP sample variance {v} is not positive")
-    return CalibrationResult(GammaParams(m**2 / v, m / v), m, v, n_draws)
+        raise DegenerateVariance(f"SP variance {v} is not positive")
+    return CalibrationResult(GammaParams(m**2 / v, m / v), m, v)
 
 
 def obfuscate_track(

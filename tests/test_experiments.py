@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from privregion import experiments, strategies
 from privregion.cli import main
 from privregion.core import BetaParams, Point
 from privregion.experiments import (
@@ -100,12 +101,12 @@ class TestRunCalibrate:
             assert m == cal.sp_mean  # repr round-trip is exact
             assert float(row["matched_alpha"]) == m**2 / v
             assert float(row["matched_beta"]) == m / v
+        assert "n_draws" not in rows[0]
 
     def test_calibration_near_analytic_mean(self, tmp_path):
-        res = run_calibrate(tiny_config(tmp_path, calibration_draws=50_000))
-        tb = TABLE1_SETTINGS[0]
-        analytic = tb.R**2 - tb.r**2 * tb.beta.mean
-        assert res.calibrations[0].sp_mean == pytest.approx(analytic, rel=0.03)
+        res = run_calibrate(tiny_config(tmp_path))
+        analytic = [tb.R**2 - tb.r**2 * tb.beta.mean for tb in TABLE1_SETTINGS[:2]]
+        assert [cal.sp_mean for cal in res.calibrations] == analytic
 
 
 class TestRunTable1:
@@ -149,6 +150,19 @@ class TestRunTable1:
             for rep in range(3)
         ]
         assert got == expected
+
+    def test_runs_without_sp_sampling(self, tmp_path, monkeypatch):
+        # both strategies' mean SP are closed forms, so no SP is sampled
+        def no_sampling(*args):
+            raise AssertionError("run_table1 sampled SPs")
+
+        monkeypatch.setattr(experiments, "sample_sps", no_sampling)
+        monkeypatch.setattr(strategies, "sample_sps", no_sampling)
+        study = run_table1(tiny_config(tmp_path))
+        for s, cal in zip(study.summary[::2], study.calibrations):
+            assert s["strategy"] == "two-balls" and s["mean_sp"] == cal.sp_mean
+        for s, cal in zip(study.summary[1::2], study.calibrations):
+            assert s["mean_sp"] == cal.matched_gamma.alpha / cal.matched_gamma.beta
 
 
 class TestDeterminism:

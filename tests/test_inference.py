@@ -329,7 +329,7 @@ class TestLocalExpansion:
         # r1-R3-a4-b4's matched Gamma at n = 1600: every grid of the attack
         # holds fewer than 100 (point, exit) pairs per point, against 1600
         # for the direct sum
-        cal = calibrate_random_radius(TB_MAIN, 100_000, derive_rng(1, 0))
+        cal = calibrate_random_radius(TB_MAIN)
         spec = RandomRadius(cal.matched_gamma)
         real = inference.grid_posterior
         widths = []

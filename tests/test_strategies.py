@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from privregion.core import BetaParams, Disk, GammaParams, Point, make_rng
+from privregion.experiments import TABLE1_SETTINGS, setting_tag
 from privregion.harmonic import PointNotOnBoundary, sample_exit_offsets
 from privregion.strategies import (
     CalibrationResult,
@@ -247,44 +249,69 @@ class TestSimulatedMode:
 
 class TestCalibration:
     def test_result_validates_moment_match(self):
-        CalibrationResult(GammaParams(4.0, 2.0), 2.0, 1.0, 5000)
+        CalibrationResult(GammaParams(4.0, 2.0), 2.0, 1.0)
         with pytest.raises(ValueError):
-            CalibrationResult(GammaParams(4.0, 2.1), 2.0, 1.0, 5000)
+            CalibrationResult(GammaParams(4.0, 2.1), 2.0, 1.0)
 
-    def test_matched_moments_round_trip(self, rng):
-        cal = calibrate_random_radius(TB_MAIN, 50_000, rng)
+    def test_matched_moments_round_trip(self):
+        cal = calibrate_random_radius(TB_MAIN)
         g = cal.matched_gamma
         assert g.mean == pytest.approx(cal.sp_mean, rel=1e-12)
         assert g.variance == pytest.approx(cal.sp_var, rel=1e-12)
 
-    def test_matches_analytic_mean(self, rng):
-        cal = calibrate_random_radius(TB_MAIN, 100_000, rng)
-        assert abs(cal.sp_mean - 8.5) / 8.5 < 0.01
+    def test_matches_analytic_mean(self):
+        # 9 - 0.5, and Var SP = r^2 (2 mu m - r^2 Var u) = 8.5 - 1/36
+        cal = calibrate_random_radius(TB_MAIN)
+        assert cal.sp_mean == 8.5
+        assert cal.sp_var == pytest.approx(8.5 - 1.0 / 36.0, rel=1e-15)
 
-    def test_needs_two_balls(self, rng):
+    @pytest.mark.parametrize("shape", [(4.0, 4.0), (0.2, 7.0), (0.5, 0.5), (50.0, 0.01)])
+    @pytest.mark.parametrize("ratio", [1e-9, 1e-3, 0.5, 1.0 - 1e-9])
+    def test_moments_exact_against_fractions(self, ratio, shape):
+        # the textbook E[SP^2] - m^2, here in exact rational arithmetic on
+        # the same float inputs; in floats it returns v = 0 at r/R = 1e-9.
+        # At r/R = 1 - 1e-9 with shape (50, 0.01), R^2 - r^2 mu in floats
+        # is off by 7e-13.
+        big_r = 3.0
+        tb = TwoBalls(ratio * big_r, big_r, BetaParams(*shape))
+        r, R, a, b = (Fraction(x) for x in (tb.r, tb.R, *shape))
+        m = R**2 - r**2 * a / (a + b)
+        v = R**4 - r**4 * a * (a + 1) / ((a + b) * (a + b + 1)) - m**2
+        cal = calibrate_random_radius(tb)
+        assert abs(Fraction(cal.sp_mean) / m - 1) < 1e-14
+        assert abs(Fraction(cal.sp_var) / v - 1) < 1e-14
+
+    @pytest.mark.parametrize(
+        "tb", TABLE1_SETTINGS + (TwoBalls(1.0, 3.0, BetaParams(0.5, 0.5)),), ids=setting_tag
+    )
+    def test_sampled_moments_match_closed_form(self, tb):
+        # 200k draws: the mean within 4 SE of m, the variance within 4 SE
+        # of v, its SE from the sample's fourth central moment
+        n = 200_000
+        cal = calibrate_random_radius(tb)
+        sps = sample_sps(tb, n, make_rng(8))
+        dev = sps - sps.mean()
+        s2 = float((dev**2).mean())
+        assert abs(sps.mean() - cal.sp_mean) < 4.0 * math.sqrt(s2 / n)
+        assert abs(s2 - cal.sp_var) < 4.0 * math.sqrt((float((dev**4).mean()) - s2**2) / n)
+
+    def test_needs_two_balls(self):
         with pytest.raises(TypeError):
-            calibrate_random_radius(RR_MAIN, 5000, rng)
-
-    def test_needs_enough_draws(self, rng):
-        with pytest.raises(ValueError):
-            calibrate_random_radius(TB_MAIN, 999, rng)
+            calibrate_random_radius(RR_MAIN)
 
     def test_scaling_by_two_is_exact(self):
-        # doubling r and R scales every SP draw by exactly 4, so alpha is
+        # doubling r and R scales both moments by powers of two, so alpha is
         # bit-identical and beta is exactly a quarter
-        base = calibrate_random_radius(TB_MAIN, 20_000, make_rng(17))
-        scaled = calibrate_random_radius(
-            TwoBalls(2.0, 6.0, BetaParams(4.0, 4.0)), 20_000, make_rng(17)
-        )
+        base = calibrate_random_radius(TB_MAIN)
+        scaled = calibrate_random_radius(TwoBalls(2.0, 6.0, BetaParams(4.0, 4.0)))
         assert scaled.matched_gamma.alpha == base.matched_gamma.alpha
         assert scaled.matched_gamma.beta == base.matched_gamma.beta / 4.0
 
-    def test_degenerate_variance_guard(self, rng, monkeypatch):
-        import privregion.strategies as mod
-
-        monkeypatch.setattr(mod, "sample_sps", lambda spec, n, r: np.full(n, 2.0))
+    def test_degenerate_variance_guard(self):
+        # a valid shape whose Beta mean underflows to 0: in float arithmetic
+        # the centre sits on theta, every SP is R^2 and v = 0
         with pytest.raises(DegenerateVariance):
-            calibrate_random_radius(TB_MAIN, 5000, rng)
+            calibrate_random_radius(TwoBalls(1.0, 3.0, BetaParams(5e-324, 4.0)))
 
 
 class TestObfuscateTrack:
