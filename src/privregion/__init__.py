@@ -43,6 +43,7 @@ from .strategies import (
     obfuscate_track,
     sample_region,
     sample_sps,
+    sp_cdf,
 )
 from .trajectory import (
     CutResult,
@@ -108,6 +109,7 @@ __all__ = [
     "sample_region",
     "sample_sps",
     "simulate_brownian",
+    "sp_cdf",
     "squared_perturbation",
     "tb_log_posterior",
     "write_track",

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
+from scipy.special import gammaincinv
 
 from . import _svg
 from .core import BetaParams, Point, derive_rng
@@ -32,6 +33,7 @@ from .strategies import (
     generate_observations,
     obfuscate_track,
     sample_sps,
+    sp_cdf,
 )
 from .trajectory import read_track, write_track
 
@@ -50,6 +52,7 @@ __all__ = [
     "run_calibrate",
     "run_obfuscate",
     "run_bench",
+    "sample_sps",  # no longer called here; perfbench/tracer.py still wraps this name
 ]
 
 # The six two-balls settings of the comparison study, as (r, R, alpha, beta).
@@ -90,7 +93,6 @@ class ScenarioConfig:
     n_trajectories: int = 50
     n_replicates: int = 100
     sample_sizes: tuple[int, ...] = (5, 10, 20, 50, 100, 200)
-    calibration_draws: int = 100_000  # SP draws per strategy in run_curve's histograms
     bench_repeats: int = 3
     threads: int = 1
     sampler: AttackConfig = AttackConfig()
@@ -113,8 +115,6 @@ class ScenarioConfig:
             raise ConfigError("sample_sizes must be positive")
         if any(b <= a for a, b in zip(self.sample_sizes, self.sample_sizes[1:])):
             raise ConfigError(f"sample_sizes must be strictly increasing, got {self.sample_sizes}")
-        if self.calibration_draws < 1000:
-            raise ConfigError("calibration_draws must be >= 1000")
         if self.bench_repeats < 1 or self.threads < 1:
             raise ConfigError("bench_repeats and threads must be >= 1")
 
@@ -337,11 +337,26 @@ def run_table1(config: ScenarioConfig) -> StudyResult:
     return StudyResult(out, files, tuple(rows), tuple(summary), calibs)
 
 
+def _quantile_above(tb: TwoBalls, q: float, lo: float) -> float:
+    """Smallest float s > lo with sp_cdf(tb, s) >= q, by bisection up to (R + r)^2."""
+    hi = (tb.R + tb.r) ** 2
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if sp_cdf(tb, mid) < q:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def run_curve(config: ScenarioConfig) -> StudyResult:
-    """Posterior MSE vs number of trajectories, plus SP histograms.
+    """Posterior MSE vs number of trajectories, plus the exact SP laws.
 
     Uses the setting at curve_setting_index and its calibrated counterpart;
     emits curve_results.csv, curve_summary.csv, sp_hist.csv and two SVGs.
+    sp_hist.csv holds each strategy's exact SP probability mass and density
+    on 60 shared bins from 0 to the larger 0.995 quantile of the two laws;
+    nothing is drawn for it, so it does not depend on master_seed.
     """
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -396,27 +411,26 @@ def run_curve(config: ScenarioConfig) -> StudyResult:
     )
     files["mse_curve_svg"] = curve_svg
 
-    # SP distributions of the calibrated pair, on shared bins, from
-    # calibration_draws draws each.
-    draws = {
-        strat: sample_sps(
-            specs[code],
-            config.calibration_draws,
-            derive_rng(config.master_seed, _TASK_CURVE, 0, code, 1),
-        )
-        for code, strat in _STRAT_NAME.items()
-    }
-    hi = max(float(np.quantile(v, 0.995)) for v in draws.values())
+    # The exact SP laws of the calibrated pair on 60 shared bins up to the
+    # larger of their 0.995 quantiles: a bin's mass is the difference of
+    # sp_cdf at its edges.
+    gamma = specs[_STRAT_RR].gamma
+    hi = float(gammaincinv(gamma.alpha, 0.995)) / gamma.beta
+    if sp_cdf(tb, hi) < 0.995:  # the two-balls quantile is the larger one
+        hi = _quantile_above(tb, 0.995, hi)
     edges = np.linspace(0.0, hi, 61)
+    width = edges[1] - edges[0]
     hist_rows, hists = [], []
-    for strat, vals in draws.items():
-        counts, _ = np.histogram(vals, bins=edges)
-        dens = counts / (len(vals) * (edges[1] - edges[0]))
+    for code, strat in _STRAT_NAME.items():
+        mass = np.diff(sp_cdf(specs[code], edges))
+        dens = mass / width
         hists.append((strat, edges, dens))
-        for j, c in enumerate(counts):
-            hist_rows.append([strat, float(edges[j]), float(edges[j + 1]), int(c), float(dens[j])])
+        hist_rows += [
+            [strat, left, right, m, dm]
+            for left, right, m, dm in zip(edges[:-1], edges[1:], mass.tolist(), dens.tolist())
+        ]
     hpath = out / "sp_hist.csv"
-    _write_csv(hpath, ["strategy", "bin_left", "bin_right", "count", "density"], hist_rows)
+    _write_csv(hpath, ["strategy", "bin_left", "bin_right", "mass", "density"], hist_rows)
     hsvg = out / "sp_hist.svg"
     _svg.histogram_chart(hsvg, f"SP distributions ({tag})", "squared perturbation", hists)
     files["sp_hist"] = hpath

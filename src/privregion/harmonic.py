@@ -9,6 +9,14 @@ with respect to ARC LENGTH on the circle (not angle). This module evaluates
 that density, samples it exactly through the disk automorphism
 u -> (u + a) / (1 + conj(a) u) with a = (theta - c) / R, and provides the
 closed-form second moment E||z - theta||^2 = R^2 - |theta - c|^2.
+
+The same map gives the squared perturbation in closed form: for
+u = exp(i phi) with phi uniform and d = |theta - c|,
+
+    ||z - theta||^2 = (R^2 - d^2)^2 / (R^2 + d^2 + 2 R d cos psi),
+
+psi = phi - arg(theta - c), which is uniform too. `strategies.sp_cdf`
+builds the exact SP laws on it.
 """
 
 from __future__ import annotations

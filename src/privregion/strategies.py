@@ -1,4 +1,4 @@
-"""Privacy-region strategies, attack observations, and SP moment matching.
+"""Privacy-region strategies, attack observations, SP laws and moment matching.
 
 Three ways to choose privacy regions around a home location theta:
 
@@ -9,7 +9,8 @@ Three ways to choose privacy regions around a home location theta:
 
 All draws are made in theta-relative coordinates, so shifting theta shifts
 regions, exits, and published tracks rigidly while SP values stay
-bit-identical under the same seed.
+bit-identical under the same seed. `sp_cdf` gives each strategy's SP law
+exactly, without drawing.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betaln, gammainc
 
-from . import harmonic, trajectory
+from . import harmonic
 from .core import BetaParams, Disk, GammaParams, Point, as_xy, sample_beta, sample_gamma
 from .trajectory import CutResult, Trajectory, cut_privacy_region
 
@@ -31,12 +33,10 @@ __all__ = [
     "ExitObservationSet",
     "CalibrationResult",
     "DegenerateVariance",
-    "ExactExits",
-    "SimulatedExits",
-    "EXACT",
     "sample_region",
     "generate_observations",
     "sample_sps",
+    "sp_cdf",
     "calibrate_random_radius",
     "obfuscate_track",
 ]
@@ -80,28 +80,6 @@ class TwoBalls:
 
 
 StrategySpec = FixedRadius | RandomRadius | TwoBalls
-
-
-@dataclass(frozen=True)
-class ExactExits:
-    """Draw exits straight from the disk exit law (this IS the model)."""
-
-
-@dataclass(frozen=True)
-class SimulatedExits:
-    """Draw exits by stepping discrete Brownian paths until they leave.
-
-    dt defaults to the per-region policy in `trajectory.default_exit_dt`.
-    Exit samples overshoot the boundary by O(sqrt(sigma2 * dt)) and are
-    projected radially onto the circle before becoming observations.
-    """
-
-    sigma2: float = 1.0
-    dt: float | None = None
-    max_steps: int = 1_000_000
-
-
-EXACT = ExactExits()
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,35 +180,8 @@ def sample_region(theta, spec: StrategySpec, rng: np.random.Generator) -> Disk:
     return Disk(Point(t[0] + offsets[0, 0], t[1] + offsets[0, 1]), float(radii[0]))
 
 
-def _exit_offsets(
-    center_offsets: np.ndarray,
-    radii: np.ndarray,
-    mode: ExactExits | SimulatedExits,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Exit samples relative to the region centers, one per region.
-
-    The path starts at theta, which sits at -center_offset relative to each
-    region's center. Simulated exits are projected onto the circle.
-    """
-    starts = -center_offsets
-    if isinstance(mode, ExactExits):
-        return harmonic.sample_exit_offsets(starts, radii, len(radii), rng)
-    dts = (
-        np.full(len(radii), mode.dt)
-        if mode.dt is not None
-        else trajectory.default_exit_dt(radii, mode.sigma2)
-    )
-    raw = trajectory.simulate_exit_offsets(starts, radii, mode.sigma2, dts, mode.max_steps, rng)
-    return raw * (radii / np.hypot(raw[:, 0], raw[:, 1]))[:, None]
-
-
 def generate_observations(
-    theta,
-    spec: StrategySpec,
-    n: int,
-    rng: np.random.Generator,
-    mode: ExactExits | SimulatedExits = EXACT,
+    theta, spec: StrategySpec, n: int, rng: np.random.Generator
 ) -> ExitObservationSet:
     """Exit observations for n tracks of a user living at `theta`.
 
@@ -247,8 +198,8 @@ def generate_observations(
         radii = np.broadcast_to(radii, (n,))
     else:
         offsets, radii = _region_offsets(spec, n, rng)
-    exit_offs = _exit_offsets(offsets, radii, mode, rng)
-    rel = offsets + exit_offs  # z - theta
+    # the path starts at theta, which sits at -offset from each region's center
+    rel = offsets + harmonic.sample_exit_offsets(-offsets, radii, n, rng)  # z - theta
     sps = (rel**2).sum(axis=1)
     return ExitObservationSet(spec, t + rel, t + offsets, radii, sps)
 
@@ -256,16 +207,168 @@ def generate_observations(
 def sample_sps(spec: StrategySpec, n_draws: int, rng: np.random.Generator) -> np.ndarray:
     """n_draws independent SP values, each from a fresh (region, exit) pair.
 
-    This is the marginal SP distribution of a single published track; it
-    does not depend on theta because the strategies are translation
-    invariant.
+    These are draws from the marginal SP law of a single published track,
+    which `sp_cdf` gives exactly; it does not depend on theta because the
+    strategies are translation invariant.
     """
     if n_draws < 1:
         raise ValueError(f"need n_draws >= 1, got {n_draws}")
     offsets, radii = _region_offsets(spec, n_draws, rng)
-    exit_offs = _exit_offsets(offsets, radii, EXACT, rng)
-    rel = offsets + exit_offs
+    rel = offsets + harmonic.sample_exit_offsets(-offsets, radii, n_draws, rng)
     return (rel**2).sum(axis=1)
+
+
+# Gauss nodes per panel of the two-balls SP law's quadrature (see sp_cdf),
+# and the s values done at once, which bounds its node arrays' memory.
+_PANEL_NODES = 24
+_CDF_BLOCK = 1024
+_GAUSS_RULES: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _gauss_rule(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1] of the Gauss rule for (1 - x)^alpha x^beta.
+
+    Golub & Welsch (1969): the nodes are the eigenvalues of the Jacobi
+    matrix of the monic Jacobi polynomials P^(alpha, beta) on [-1, 1],
+    mapped to [0, 1]; the weights are the squared first components of its
+    eigenvectors times the weight's mass B(alpha + 1, beta + 1). Each rule
+    is computed once per process, so that repeated scalar calls of sp_cdf
+    (a bisection for a quantile) do not pay for it every time.
+    """
+    if (alpha, beta) in _GAUSS_RULES:
+        return _GAUSS_RULES[alpha, beta]
+    k = np.arange(1, _PANEL_NODES, dtype=float)
+    ab = alpha + beta
+    s = 2.0 * k + ab
+    diag = np.empty(_PANEL_NODES)
+    diag[0] = (beta - alpha) / (ab + 2.0)
+    diag[1:] = (beta**2 - alpha**2) / (s * (s + 2.0))
+    # k = 1 cancels the factor k + alpha + beta against s - 1 by hand, as
+    # both vanish when alpha + beta = -1
+    off2 = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s + 1.0) * (s - 1.0))
+    off2[0] = 4.0 * (1.0 + alpha) * (1.0 + beta) / ((ab + 2.0) ** 2 * (ab + 3.0))
+    jacobi = np.diag(diag) + np.diag(np.sqrt(off2), 1) + np.diag(np.sqrt(off2), -1)
+    nodes, vecs = np.linalg.eigh(jacobi)
+    rule = 0.5 * (1.0 + nodes), math.exp(betaln(alpha + 1.0, beta + 1.0)) * vecs[0] ** 2
+    for arr in rule:
+        arr.setflags(write=False)  # shared by every later call
+    _GAUSS_RULES[alpha, beta] = rule
+    return rule
+
+
+def _two_balls_cdf(spec: TwoBalls, s: np.ndarray) -> np.ndarray:
+    """P(SP <= s) for two-balls: the Beta mixture of the law given the offset.
+
+    Given the centre's offset d = r t from theta, SP is
+    (R^2 - d^2)^2 / (R^2 + d^2 + 2 R d cos psi) with psi uniform, so SP <= s
+    has probability (2/pi) arctan(x), with
+    x = (R + d)/(R - d) sqrt((s - (R - d)^2) / ((R + d)^2 - s)), on
+    (R - d)^2 <= s <= (R + d)^2; it is 0 below and 1 above. s meets an end
+    of that range at t_k = |sqrt(s) - R| / r, and t = rho has density
+    2 t^(2a-1) (1 - t^2)^(b-1) / B(a, b) on [0, 1].
+
+    On [t_k, 1] the integrand has a square-root kink at t_k, branch points
+    at 0 and -t_k, and a (1 - t)^(b-1) end at 1. Panels [t_k, 2 t_k],
+    [2 t_k, 4 t_k], ... keep the branch points at least half a panel away.
+    The first panel is taken in tau, t = t_k + h tau^2, which smooths the
+    kink; the last, from L in [1/4, 1/2) to 1, carries (1 - t)^(b-1) in a
+    Gauss-Jacobi weight. For t_k >= 1/4 the two panels meet at (1 + t_k)/2.
+    At t_k = 0 (s = R^2, no kink) [0, 1/2] carries t^(2a-1) in its weight.
+    Above R^2 the integrand is 1 - P(SP <= s | t) and F is 1 minus it.
+    """
+    r, big_r, a, b = spec.r, spec.R, spec.beta.alpha, spec.beta.beta
+    # s - R^2 to full precision near R^2: R^2 = R*R + r2_err, from the
+    # exact integer ratios of R and of R*R (int / int rounds correctly)
+    num, den = big_r.as_integer_ratio()
+    p_num, p_den = (big_r * big_r).as_integer_ratio()
+    r2_err = (num * num * p_den - p_num * den * den) / (den * den * p_den)
+    gap = (s - big_r * big_r) - r2_err
+    above = gap >= 0.0
+    out = above.astype(float)
+    live = np.flatnonzero((s > (big_r - r) ** 2) & (s < (big_r + r) ** 2))
+    tk = np.abs(gap[live]) / ((np.sqrt(s[live]) + big_r) * r)
+    live, tk = live[tk < 1.0], tk[tk < 1.0]  # rounding at the support's ends
+    if live.size == 0:
+        return out
+    log_norm = math.log(2.0) - betaln(a, b)
+
+    def density(t, log_rest):  # 2 t^(2a-1) / B(a, b) times exp(log_rest)
+        return np.exp(log_norm + (2.0 * a - 1.0) * np.log(t) + log_rest)
+
+    owners, offsets, weights = [], [], []  # per panel: s index, t - t_k, weight
+    x, w = _gauss_rule(0.0, 0.0)
+    mant, expo = np.frexp(tk)
+    zero = tk == 0.0
+    graded = (tk < 0.25) & ~zero
+    last = np.where(zero, 0.5, np.where(graded, 0.5 * mant, 0.5 * (1.0 + tk)))
+
+    i = np.flatnonzero(~zero)  # first panel [t_k, t_k + h], t = t_k + h tau^2
+    h = np.where(graded, tk, 0.5 * (1.0 - tk))[i, None]
+    e = h * x**2
+    t = tk[i, None] + e
+    owners.append(i)
+    offsets.append(e)
+    weights.append(2.0 * h * x * w * density(t, (b - 1.0) * np.log1p(-t * t)))
+
+    n_mid = np.where(graded, -expo - 2, 0)  # [2^j t_k, 2^(j+1) t_k], j >= 1
+    i = np.repeat(np.arange(tk.size), n_mid)
+    left = np.ldexp(tk[i], np.arange(i.size) - np.repeat(np.cumsum(n_mid) - n_mid, n_mid) + 1)
+    e = (left - tk[i])[:, None] + left[:, None] * x
+    t = tk[i, None] + e
+    owners.append(i)
+    offsets.append(e)
+    weights.append(left[:, None] * w * density(t, (b - 1.0) * np.log1p(-t * t)))
+
+    x_end, w_end = _gauss_rule(b - 1.0, 0.0)  # [last, 1], (1 - t)^(b-1) in the weight
+    e = (last - tk)[:, None] + (1.0 - last)[:, None] * x_end
+    t = tk[:, None] + e
+    owners.append(np.arange(tk.size))
+    offsets.append(e)
+    weights.append((1.0 - last)[:, None] ** b * w_end * density(t, (b - 1.0) * np.log1p(t)))
+
+    if zero.any():  # [0, 1/2], t^(2a-1) in the weight
+        x0, w0 = _gauss_rule(0.0, 2.0 * a - 1.0)
+        t = 0.5 * x0
+        i = np.flatnonzero(zero)
+        owners.append(i)
+        offsets.append(np.broadcast_to(t, (i.size, t.size)))
+        weights.append(np.broadcast_to(
+            w0 * np.exp(log_norm - 2.0 * a * math.log(2.0) + (b - 1.0) * np.log1p(-t * t)),
+            (i.size, t.size),
+        ))
+
+    own = np.repeat(np.concatenate(owners), _PANEL_NODES)
+    e = r * np.concatenate([o.ravel() for o in offsets])  # d - d_k, never a difference
+    wt = np.concatenate([o.ravel() for o in weights])
+    sg = np.where(above[live][own], 1.0, -1.0)
+    dk = r * tk[own]
+    d = dk + e
+    # x below R^2 and 1/x above it, factored so that no term cancels at d_k
+    ratio = e * (2.0 * big_r + sg * (2.0 * dk + e)) / ((2.0 * dk + e) * (2.0 * big_r - sg * e))
+    cond = (2.0 / math.pi) * np.arctan((big_r - sg * d) / (big_r + sg * d) * np.sqrt(ratio))
+    acc = np.bincount(own, weights=wt * cond, minlength=tk.size)
+    out[live] = np.where(above[live], 1.0 - acc, acc)
+    return out
+
+
+def sp_cdf(spec: StrategySpec, s) -> np.ndarray:
+    """P(SP <= s) for one published track under `spec`, vectorised over s.
+
+    Random-radius SP is the region's r^2 ~ Gamma(alpha, beta), fixed-radius
+    SP is r_star^2, and two-balls SP is a Beta mixture of closed-form laws
+    that Gauss quadrature integrates to about 1e-14 (`_two_balls_cdf`).
+    Nothing is drawn.
+    """
+    s = np.asarray(s, dtype=float)
+    if isinstance(spec, FixedRadius):
+        return (s >= spec.r_star**2).astype(float)
+    if isinstance(spec, RandomRadius):
+        return gammainc(spec.gamma.alpha, spec.gamma.beta * np.maximum(s, 0.0))
+    if isinstance(spec, TwoBalls):
+        flat = s.ravel()
+        blocks = np.split(flat, range(_CDF_BLOCK, flat.size, _CDF_BLOCK))
+        return np.concatenate([_two_balls_cdf(spec, part) for part in blocks]).reshape(s.shape)
+    raise TypeError(f"unknown strategy spec {spec!r}")
 
 
 def calibrate_random_radius(spec_tb: TwoBalls) -> CalibrationResult:

@@ -332,7 +332,6 @@ def test_c9_table1_byte_deterministic(tmp_path):
                 "master_seed": SEED,
                 "n_replicates": 2,
                 "n_trajectories": 10,
-                "calibration_draws": 2000,
             }
         )
     )

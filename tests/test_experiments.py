@@ -21,7 +21,7 @@ from privregion.experiments import (
     run_table1,
     setting_tag,
 )
-from privregion.inference import AttackConfig
+from privregion.inference import AttackConfig, AttackReport
 from privregion.strategies import FixedRadius, TwoBalls
 from privregion.trajectory import Trajectory, read_track
 
@@ -36,7 +36,6 @@ def tiny_config(out_dir, **kw):
         n_trajectories=5,
         n_replicates=3,
         sample_sizes=(5, 10),
-        calibration_draws=2000,
         bench_repeats=1,
         sampler=LIGHT_SAMPLER,
     )
@@ -212,6 +211,60 @@ class TestRunCurve:
         lefts = {r["bin_left"] for r in rows if r["strategy"] == "two-balls"}
         assert lefts == {r["bin_left"] for r in rows if r["strategy"] == "random-radius"}
 
+    def test_hist_header(self, curve_study):
+        with open(curve_study.files["sp_hist"], encoding="utf-8") as f:
+            assert f.readline() == "strategy,bin_left,bin_right,mass,density\n"
+
+    def test_hist_masses_are_exact(self, curve_study):
+        # each strategy's masses add up to F(hi) - F(0) of its exact SP law,
+        # and a density is its mass over the bin width
+        tb = TABLE1_SETTINGS[0]
+        cal = curve_study.calibrations[0]
+        specs = {"two-balls": tb, "random-radius": strategies.RandomRadius(cal.matched_gamma)}
+        rows = read_csv(curve_study.files["sp_hist"])
+        hi = float(rows[-1]["bin_right"])
+        for strat, spec in specs.items():
+            sub = [r for r in rows if r["strategy"] == strat]
+            masses = [float(r["mass"]) for r in sub]
+            expected = float(strategies.sp_cdf(spec, hi) - strategies.sp_cdf(spec, 0.0))
+            assert math.fsum(masses) == pytest.approx(expected, abs=1e-14)
+            for r, m in zip(sub, masses):
+                width = float(r["bin_right"]) - float(r["bin_left"])
+                assert float(r["density"]) == pytest.approx(m / width, rel=1e-12)
+        # hi is the larger 0.995 quantile: here the random-radius one
+        assert float(strategies.sp_cdf(specs["random-radius"], hi)) == pytest.approx(0.995, abs=1e-12)
+
+    def test_hist_reaches_the_larger_quantile(self, tmp_path, monkeypatch):
+        # with r near R and b < 1 the two-balls law has the longer upper
+        # tail, so hi is its 0.995 quantile, found by bisection. The matched
+        # Gamma's shape is 0.1 here, where most random-radius attacks cannot
+        # resolve the posterior's peaks at the exits, so attacks are stubbed
+        def stub_attack(obs, theta, rng, cfg):
+            return AttackReport(Point(0.0, 0.0), 1.0, 0.5, 0.5, 0.0, 0, 0, 0.0)
+
+        monkeypatch.setattr(experiments, "attack", stub_attack)
+        tb = TwoBalls(2.9, 3.0, BetaParams(4.0, 0.5))
+        study = run_curve(tiny_config(tmp_path, settings=(tb,), n_replicates=1, sample_sizes=(5,)))
+        hi = float(read_csv(study.files["sp_hist"])[-1]["bin_right"])
+        assert strategies.sp_cdf(tb, hi) >= 0.995 > strategies.sp_cdf(tb, np.nextafter(hi, 0.0))
+        rr = strategies.RandomRadius(study.calibrations[0].matched_gamma)
+        assert strategies.sp_cdf(rr, hi) > 0.995
+
+    def test_runs_without_sp_sampling(self, tmp_path, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("run_curve sampled SPs")
+
+        monkeypatch.setattr(experiments, "sample_sps", no_sampling)
+        monkeypatch.setattr(strategies, "sample_sps", no_sampling)
+        study = run_curve(tiny_config(tmp_path, n_replicates=1, sample_sizes=(5,)))
+        assert study.files["sp_hist"].exists()
+
+    def test_hist_does_not_depend_on_seed(self, tmp_path):
+        a = run_curve(tiny_config(tmp_path / "a", n_replicates=1, sample_sizes=(5,)))
+        b = run_curve(tiny_config(tmp_path / "b", n_replicates=1, sample_sizes=(5,), master_seed=12))
+        assert a.files["sp_hist"].read_bytes() == b.files["sp_hist"].read_bytes()
+        assert a.files["curve_results"].read_bytes() != b.files["curve_results"].read_bytes()
+
 
 class TestRunObfuscate:
     @pytest.fixture()
@@ -332,6 +385,9 @@ class TestLoadConfig:
         for key in ("n_chains", "n_burn", "n_keep", "target_accept", "rhat_max", "ess_min"):
             with pytest.raises(ConfigError, match=f"unknown sampler config keys: \\['{key}'\\]"):
                 load_config(None, master_seed=1, sampler={key: 1})
+        # so is the SP draw count of curve's histograms, which are exact now
+        with pytest.raises(ConfigError, match="unknown config keys: \\['calibration_draws'\\]"):
+            load_config(None, master_seed=1, calibration_draws=100_000)
 
     def test_bad_json_reports_line(self, tmp_path):
         p = tmp_path / "c.json"
@@ -368,7 +424,6 @@ class TestCli:
                     "n_trajectories": 5,
                     "n_replicates": 2,
                     "sample_sizes": [5, 10],
-                    "calibration_draws": 2000,
                     "bench_repeats": 1,
                     "sampler": {"quad_nodes": 32},
                 }

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from privregion.core import Disk, Point
+from privregion.core import Disk, Point, make_rng
 from privregion.harmonic import (
     PointNotOnBoundary,
     ThetaOutsideRegion,
@@ -99,6 +99,19 @@ class TestSampling:
         sq = ((offs - [0.5, 0.0]) ** 2).sum(axis=1)
         se = sq.std() / math.sqrt(n)
         assert abs(sq.mean() - 0.75) < 5.0 * se
+
+    def test_sp_is_the_image_of_the_uniform_angle(self):
+        # SP = (R^2 - d^2)^2 / (R^2 + d^2 + 2 R d cos psi) with d = |theta - c|
+        # and psi = phi - arg(theta - c), phi the uniform angle the sampler draws
+        n, big_r = 1000, 2.5
+        theta_off = np.array([0.9, -1.2])
+        offs = sample_exit_offsets(theta_off, np.full(n, big_r), n, make_rng(3))
+        phi = make_rng(3).uniform(0.0, 2.0 * math.pi, size=n)
+        d = math.hypot(*theta_off)
+        psi = phi - math.atan2(theta_off[1], theta_off[0])
+        expected = (big_r**2 - d**2) ** 2 / (big_r**2 + d**2 + 2.0 * big_r * d * np.cos(psi))
+        sp = ((offs - theta_off) ** 2).sum(axis=1)
+        assert np.allclose(sp, expected, rtol=1e-12, atol=0.0)
 
     def test_centered_angles_uniform(self, rng):
         offs = sample_exit_offsets(np.zeros((20_000, 2)), np.ones(20_000), 20_000, rng)

@@ -1,9 +1,10 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, special, stats
 
 from privregion.core import BetaParams, Disk, GammaParams, Point, make_rng
 from privregion.experiments import TABLE1_SETTINGS, setting_tag
@@ -14,13 +15,13 @@ from privregion.strategies import (
     ExitObservationSet,
     FixedRadius,
     RandomRadius,
-    SimulatedExits,
     TwoBalls,
     calibrate_random_radius,
     generate_observations,
     obfuscate_track,
     sample_region,
     sample_sps,
+    sp_cdf,
 )
 from privregion.trajectory import Trajectory, simulate_brownian
 
@@ -214,37 +215,106 @@ class TestSampleSps:
         assert np.unique(sps).size > 49_000
 
 
-class TestSimulatedMode:
-    def test_exits_projected_onto_circle(self, rng):
-        obs = generate_observations(
-            ORIGIN, TB_MAIN, 30, rng, mode=SimulatedExits(dt=1e-3)
-        )
-        region = obs.shared_region
-        d = np.hypot(
-            obs.positions[:, 0] - region.center.x, obs.positions[:, 1] - region.center.y
-        )
-        assert np.allclose(d, region.radius, rtol=1e-12)
+def quad_cdf(tb, s):
+    """P(SP <= s) by adaptive quadrature over u = rho^2 ~ Beta(a, b), split at u_k.
 
-    def test_sp_law_approaches_exact_as_dt_shrinks(self):
-        # Same seed -> same shared region in every mode; only the exits
-        # differ. Fine steps reproduce the exact SP law, coarse steps
-        # flatten the exit angles and push the SP mean off its target.
-        from privregion.harmonic import expected_sp_given_center
+    An independent reference for sp_cdf: the conditional law is evaluated
+    as written, (2/pi) arctan((R + d)/(R - d) sqrt((s - (R - d)^2) /
+    ((R + d)^2 - s))), and QUADPACK integrates it. Below u_k = ((sqrt(s) -
+    R)/r)^2 the conditional law is 1 (s > R^2) or 0, which contributes
+    betainc(a, b, u_k) or nothing.
+    """
+    r, big_r, a, b = tb.r, tb.R, tb.beta.alpha, tb.beta.beta
+    root = math.sqrt(s)
+    uk = ((root - big_r) / r) ** 2
+    norm = math.exp(-special.betaln(a, b))
 
-        n = 3000
-        exact = generate_observations(ORIGIN, TB_MAIN, n, make_rng(2))
-        fine = generate_observations(ORIGIN, TB_MAIN, n, make_rng(2), mode=SimulatedExits())
-        coarse = generate_observations(
-            ORIGIN, TB_MAIN, n, make_rng(2), mode=SimulatedExits(dt=4.0)
+    def cond(u):
+        d = r * math.sqrt(u)
+        num = (big_r + d) * math.sqrt(max(s - (big_r - d) ** 2, 0.0))
+        return 2.0 / math.pi * math.atan2(num, (big_r - d) * math.sqrt(max((big_r + d) ** 2 - s, 0.0)))
+
+    # u = u_k + (1 - u_k) t^2 smooths the square-root kink at u_k; where
+    # (1 - t)^(b-1) is singular QUADPACK's algebraic weight carries it
+    def f(t, weighted_end=False):
+        u = uk + (1.0 - uk) * t * t
+        w = 2.0 * norm * (1.0 - uk) ** b * (1.0 + t) ** (b - 1.0) * u ** (a - 1.0) * t
+        return cond(u) * w * (1.0 if weighted_end else (1.0 - t) ** (b - 1.0))
+
+    # u^(a-1) varies on the scale t ~ eps near 0: cut there geometrically
+    eps = math.sqrt(uk / (1.0 - uk))
+    cuts = [0.0] + [c for c in eps * 4.0 ** np.arange(-2, 30) if c < 0.5] + [0.5, 1.0]
+    total = lower = special.betainc(a, b, uk) if root >= big_r else 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi == 1.0:
+            total += integrate.quad(f, lo, hi, args=(True,), weight="alg", wvar=(0.0, b - 1.0),
+                                    epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+        else:
+            total += integrate.quad(f, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+    assert 0.0 <= lower <= total <= 1.0 + 1e-12
+    return total
+
+
+CDF_SHAPES = TABLE1_SETTINGS + tuple(
+    TwoBalls(0.97 * 3.0, 3.0, BetaParams(a, b)) for a, b in ((0.2, 7.0), (7.0, 0.2), (0.5, 0.5))
+)
+
+
+class TestSpCdf:
+    @pytest.mark.parametrize("tb", CDF_SHAPES, ids=setting_tag)
+    def test_matches_adaptive_quadrature(self, tb):
+        # 114 values across the support, and 6 within 1e-6 of R^2
+        lo, hi = (tb.R - tb.r) ** 2, (tb.R + tb.r) ** 2
+        near = tb.R**2 + np.array([-1e-6, -1e-7, -1e-8, 1e-8, 1e-7, 1e-6])
+        s = np.concatenate([np.linspace(lo, hi, 116)[1:-1], near])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", integrate.IntegrationWarning)
+            # within 1e-7 of R^2 the conditional law as written loses digits
+            # next to its kink, and QUADPACK says so; it still holds to 1e-11
+            warnings.filterwarnings("ignore", "The occurrence of roundoff")
+            ref = np.array([quad_cdf(tb, v) for v in s])
+        assert np.abs(sp_cdf(tb, s) - ref).max() <= 1e-10
+
+    @pytest.mark.parametrize("tb", CDF_SHAPES, ids=setting_tag)
+    def test_within_dkw_bound_of_samples(self, tb):
+        # Dvoretzky-Kiefer-Wolfowitz: P(sup |F_n - F| > eps) <= 2 exp(-2 n eps^2)
+        n, delta = 200_000, 1e-6
+        x = np.sort(sample_sps(tb, n, make_rng(9)))
+        f = sp_cdf(tb, x)
+        sup = max((np.arange(1, n + 1) / n - f).max(), (f - np.arange(n) / n).max())
+        assert sup <= math.sqrt(math.log(2.0 / delta) / (2.0 * n))
+
+    def test_random_radius_is_gamma(self):
+        s = np.array([-1.0, 0.0, 0.3, 1.0, 2.5, 40.0])
+        assert np.array_equal(sp_cdf(RR_MAIN, s), special.gammainc(4.0, 4.0 * np.maximum(s, 0.0)))
+        assert sp_cdf(RR_MAIN, -1.0) == 0.0
+
+    def test_fixed_radius_is_a_step(self):
+        assert sp_cdf(FixedRadius(1.5), [2.2, 2.25, 3.0]).tolist() == [0.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("tb", CDF_SHAPES, ids=setting_tag)
+    def test_support_ends_and_monotone(self, tb):
+        lo, hi = (tb.R - tb.r) ** 2, (tb.R + tb.r) ** 2
+        assert sp_cdf(tb, [-1.0, 0.0, 0.5 * lo, lo]).tolist() == [0.0] * 4
+        assert sp_cdf(tb, [hi, 2.0 * hi, math.inf]).tolist() == [1.0] * 3
+        f = sp_cdf(tb, np.linspace(lo, hi, 2001))
+        assert np.all(np.diff(f) >= 0.0)
+        # R^2 itself, where the law given the offset has no kink, sits
+        # between its float neighbours up to rounding
+        r2 = np.nextafter(tb.R**2, [0.0, math.inf])
+        below, at, above = sp_cdf(tb, [r2[0], tb.R**2, r2[1]])
+        assert below - 1e-14 <= at <= above + 1e-14
+
+    @pytest.mark.parametrize("tb", TABLE1_SETTINGS, ids=setting_tag)
+    def test_mean_is_integral_of_survival(self, tb):
+        # E[SP] = int_0^inf (1 - F(s)) ds, split at R^2, where F has a kink
+        lo, hi = (tb.R - tb.r) ** 2, (tb.R + tb.r) ** 2
+        surv = lambda v: 1.0 - float(sp_cdf(tb, v))  # noqa: E731
+        mean = lo + sum(
+            integrate.quad(surv, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            for a, b in ((lo, tb.R**2), (tb.R**2, hi))
         )
-        region = exact.shared_region
-        assert fine.shared_region == region and coarse.shared_region == region
-
-        m = expected_sp_given_center(ORIGIN, region)
-        se = fine.sps.std() / math.sqrt(n)
-        assert abs(fine.sps.mean() - m) < 5.0 * se
-        assert abs(coarse.sps.mean() - m) > abs(fine.sps.mean() - m)
-        assert stats.ks_2samp(fine.sps, exact.sps).pvalue > 0.01
+        assert mean == pytest.approx(calibrate_random_radius(tb).sp_mean, rel=1e-9)
 
 
 class TestCalibration:
