@@ -1,7 +1,7 @@
 """Command-line front end: study runners plus one-off attack/obfuscate tools.
 
 Exit codes: 0 on success, 2 on configuration or input-format errors, 3 on
-numerical failures (quadrature guards, degenerate geometry, step budget).
+numerical failures (quadrature guards, degenerate geometry).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from .core import BetaParams, GammaParams, Point, derive_rng
 from .experiments import (
     _TASK_ATTACK,
     ConfigError,
+    _write_csv,
     load_config,
     run_bench,
     run_calibrate,
@@ -29,16 +30,10 @@ from .strategies import (
     TwoBalls,
     generate_observations,
 )
-from .trajectory import MaxStepsExceeded, TrackFormatError
+from .trajectory import TrackFormatError
 
 _CONFIG_ERRORS = (ConfigError, TrackFormatError, OSError)
-_NUMERICAL_ERRORS = (
-    DiagnosticsFailed,
-    MaxStepsExceeded,
-    DegenerateVariance,
-    InconsistentExits,
-    NoIntersection,
-)
+_NUMERICAL_ERRORS = (DiagnosticsFailed, DegenerateVariance, InconsistentExits, NoIntersection)
 
 
 def _add_common(p: argparse.ArgumentParser, replicates: bool = True) -> None:
@@ -167,13 +162,13 @@ def _cmd_attack(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         path = out / "attack_report.csv"
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            f.write("strategy,n,seed,mean_x,mean_y,posterior_mse,bias2,variance\n")
-            f.write(
-                f"{args.strategy},{args.n},{conf.master_seed},"
-                f"{rep.posterior_mean.x!r},{rep.posterior_mean.y!r},"
-                f"{rep.posterior_mse!r},{rep.bias2!r},{rep.variance!r}\n"
-            )
+        mean = rep.posterior_mean
+        row = [args.strategy, args.n, conf.master_seed, mean.x, mean.y]
+        _write_csv(
+            path,
+            "strategy n seed mean_x mean_y posterior_mse bias2 variance".split(),
+            [row + [rep.posterior_mse, rep.bias2, rep.variance]],
+        )
         print(f"wrote {path}")
     return 0
 

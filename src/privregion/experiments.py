@@ -14,7 +14,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -276,16 +276,34 @@ def _replicate_rows(config, task_code, plan) -> list[ResultRow]:
     tasks = []
     meta = []
     for tag, idx, specs, n in plan:
-        for strat in (_STRAT_TB, _STRAT_RR):
+        for strat, name in _STRAT_NAME.items():
             for rep in range(config.n_replicates):
                 path = (task_code, idx, rep, strat)
                 tasks.append((config.master_seed, path, specs[strat], n, config.sampler))
-                meta.append((tag, _STRAT_NAME[strat], rep, n))
+                meta.append((tag, name, rep, n))
     outputs = _run_tasks(tasks, config.threads)
     return [
         ResultRow(tag, strat, rep, n, mse, bias2, var, sp, wall)
         for (tag, strat, rep, n), (mse, bias2, var, sp, wall) in zip(meta, outputs)
     ]
+
+
+def _write_summary(path: Path, rows: list[ResultRow], keys: list, mean_sp=None) -> list[dict]:
+    """One summary row per (setting, strategy, n) key, in the order of keys:
+    the replicate count, mean_sp[key] when mean_sp is given, and the MSE
+    quantiles. Writes them to path and returns them."""
+    mses: dict[tuple, list[float]] = {}
+    for r in rows:
+        mses.setdefault((r.setting, r.strategy, r.n), []).append(r.posterior_mse)
+    summary = []
+    for key in keys:
+        row = dict(zip(("setting", "strategy", "n"), key), n_replicates=len(mses[key]))
+        if mean_sp is not None:
+            row["mean_sp"] = mean_sp[key]
+        row.update(zip(("mse_q05", "mse_median", "mse_q95"), _quantiles(mses[key])))
+        summary.append(row)
+    _write_csv(path, list(summary[0]), [list(s.values()) for s in summary])
+    return summary
 
 
 def run_table1(config: ScenarioConfig) -> StudyResult:
@@ -301,39 +319,21 @@ def run_table1(config: ScenarioConfig) -> StudyResult:
     calib_res = run_calibrate(config)
     calibs = calib_res.calibrations
 
-    plan = []
-    mean_sp: dict[tuple[str, str], float] = {}
+    n = config.n_trajectories
+    plan, keys = [], []
+    mean_sp: dict[tuple[str, str, int], float] = {}
     for idx, (tb, cal) in enumerate(zip(config.settings, calibs)):
-        specs = _strategy_pair(tb, cal)
         tag = setting_tag(tb)
-        plan.append((tag, idx, specs, config.n_trajectories))
-        mean_sp[tag, "two-balls"] = cal.sp_mean
-        mean_sp[tag, "random-radius"] = cal.matched_gamma.mean
+        plan.append((tag, idx, _strategy_pair(tb, cal), n))
+        keys += [(tag, name, n) for name in _STRAT_NAME.values()]
+        mean_sp[tag, _STRAT_NAME[_STRAT_TB], n] = cal.sp_mean
+        mean_sp[tag, _STRAT_NAME[_STRAT_RR], n] = cal.matched_gamma.mean
 
     rows = _replicate_rows(config, _TASK_TABLE1, plan)
     files = dict(calib_res.files)
     files.update(_write_results(out, "results", rows))
-
-    summary = []
-    for tag, _, _, n in plan:
-        for strat in ("two-balls", "random-radius"):
-            mses = [r.posterior_mse for r in rows if r.setting == tag and r.strategy == strat]
-            q05, q50, q95 = _quantiles(mses)
-            summary.append(
-                {
-                    "setting": tag,
-                    "strategy": strat,
-                    "n": n,
-                    "n_replicates": len(mses),
-                    "mean_sp": mean_sp[tag, strat],
-                    "mse_q05": q05,
-                    "mse_median": q50,
-                    "mse_q95": q95,
-                }
-            )
-    spath = out / "summary.csv"
-    _write_csv(spath, list(summary[0].keys()), [list(s.values()) for s in summary])
-    files["summary"] = spath
+    files["summary"] = out / "summary.csv"
+    summary = _write_summary(files["summary"], rows, keys, mean_sp)
     return StudyResult(out, files, tuple(rows), tuple(summary), calibs)
 
 
@@ -373,29 +373,13 @@ def run_curve(config: ScenarioConfig) -> StudyResult:
     files = {"calibration": cpath}
     files.update(_write_results(out, "curve_results", rows))
 
-    summary = []
-    for strat in ("two-balls", "random-radius"):
-        for n in config.sample_sizes:
-            mses = [r.posterior_mse for r in rows if r.strategy == strat and r.n == n]
-            q05, q50, q95 = _quantiles(mses)
-            summary.append(
-                {
-                    "setting": tag,
-                    "strategy": strat,
-                    "n": n,
-                    "n_replicates": len(mses),
-                    "mse_q05": q05,
-                    "mse_median": q50,
-                    "mse_q95": q95,
-                }
-            )
-    spath = out / "curve_summary.csv"
-    _write_csv(spath, list(summary[0].keys()), [list(s.values()) for s in summary])
-    files["curve_summary"] = spath
-
     ns = list(config.sample_sizes)
+    files["curve_summary"] = out / "curve_summary.csv"
+    keys = [(tag, name, n) for name in _STRAT_NAME.values() for n in ns]
+    summary = _write_summary(files["curve_summary"], rows, keys)
+
     series, bands = [], []
-    for strat in ("two-balls", "random-radius"):
+    for strat in _STRAT_NAME.values():
         sub = [s for s in summary if s["strategy"] == strat]
         series.append((strat, ns, [s["mse_median"] for s in sub]))
         bands.append((strat, ns, [s["mse_q05"] for s in sub], [s["mse_q95"] for s in sub]))
@@ -486,19 +470,18 @@ def run_bench(config: ScenarioConfig) -> BenchResult:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     tb = config.settings[config.curve_setting_index]
-    cal = calibrate_random_radius(tb)
-    specs = _strategy_pair(tb, cal)
+    specs = _strategy_pair(tb, calibrate_random_radius(tb))
+    plan = [(setting_tag(tb), n_idx, specs, n) for n_idx, n in enumerate(config.sample_sizes)]
+    # one process, so that repeats do not compete for cores
+    timed = _replicate_rows(
+        replace(config, n_replicates=config.bench_repeats, threads=1), _TASK_BENCH, plan
+    )
 
     rows = []
     means: dict[str, list[tuple[int, float]]] = {name: [] for name in _STRAT_NAME.values()}
-    for code, name in _STRAT_NAME.items():
-        for n_idx, n in enumerate(config.sample_sizes):
-            walls = []
-            for rep in range(config.bench_repeats):
-                rng = derive_rng(config.master_seed, _TASK_BENCH, n_idx, rep, code)
-                obs = generate_observations(_ORIGIN, specs[code], n, rng)
-                rep_out = attack(obs, _ORIGIN, rng, config.sampler)
-                walls.append(rep_out.wall_time)
+    for name in _STRAT_NAME.values():
+        for n in config.sample_sizes:
+            walls = [r.wall_time for r in timed if r.strategy == name and r.n == n]
             mean_w = float(np.mean(walls))
             means[name].append((n, mean_w))
             rows.append(

@@ -33,9 +33,10 @@ on theta with the known radius, so theta is the circle center that
 `recover_center` finds, one point for three or more exits and in closed
 form for fewer.
 
-`rwm_sample`, `split_r_hat` and `effective_sample_size` (adaptive
-Metropolis and its diagnostics) stay available as general tools; no attack
-uses them.
+`rwm_sample`, `split_r_hat`, `effective_sample_size` and `posterior_mse`
+(adaptive Metropolis and its diagnostics) are reached by no runner, CLI
+command or demo; they stay only because the benchmark's tracer
+(`perfbench/tracer.py`) looks them up by name.
 """
 
 from __future__ import annotations
@@ -85,13 +86,13 @@ SQ_DIST_FLOOR = 1e-12
 # the center is trusted; in the exact model the residual is float noise.
 CENTER_FIT_RTOL = 1e-6
 
-# Largest number of (grid point, exit) pairs a log-target evaluates at once:
-# grid_posterior sizes its blocks by it, so memory does not grow with the
-# exit count. The figures are for the direct sum of _sep_expansion, the path
-# every exit takes when none is far from the expansion point: at 2^14 pairs
-# (128 KB per float array) its four temporaries stay in a 1 MB L2 cache,
-# 2.6 ns per pair in a random-radius target at 1600 exits on a 2-core AMD
-# EPYC, against 6.1 ns at 2^15 and 6.2 ns at 2^17.
+# Largest number of (point, exit) pairs the direct sum of _sep_expansion
+# holds at once: it takes its points in blocks of PAIR_BUDGET // exits, so
+# a log-target's memory does not grow with the exit count, and callers pass
+# it any number of points. At 2^14 pairs (128 KB per float array) the
+# block's four temporaries stay in a 1 MB L2 cache, 2.6 ns per pair in a
+# random-radius target at 1600 exits on a 2-core AMD EPYC, against 6.1 ns
+# at 2^15 and 6.2 ns at 2^17.
 PAIR_BUDGET = 2**14
 
 # The local expansion keeps K terms, x^K <= SERIES_TOL at the largest ratio
@@ -300,60 +301,73 @@ def _theta_batch(theta) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
+def _series_terms(d2: np.ndarray, rho: float) -> tuple[np.ndarray, int]:
+    """(far, K): the exits, at squared distances d2 from the expansion
+    point, that the local expansion for reach rho takes, and its terms.
+
+    Exits at least 2 rho away are far; K makes x^K <= SERIES_TOL at the
+    largest ratio x = rho/|u_i| <= 1/2. No exit is far when K is not below
+    their count, where their direct sum is cheaper.
+    """
+    far = (d2 >= 4.0 * rho * rho) & (d2 > 0.0)
+    if far.any():
+        x = rho / math.sqrt(float(d2[far].min()))
+        K = 1 if x == 0.0 else max(1, math.ceil(math.log(SERIES_TOL) / math.log(x)))
+        if K < far.sum():
+            return far, K
+    return np.zeros(len(d2), dtype=bool), 0
+
+
 def _sep_expansion(z: np.ndarray, m: np.ndarray, rho: float):
-    """(sep, pairs per point) with sep(pts) = sum_i log|z_i - theta|^2 for
-    theta in the disk |theta - m| <= rho.
+    """sep(pts) = sum_i log|z_i - theta|^2 for theta in the disk
+    |theta - m| <= rho.
 
     In complex numbers, with u_i = z_i - m and w = theta - m,
     log|z_i - theta|^2 = log|u_i|^2 - 2 Re sum_k (w/u_i)^k / k: the local
     expansion of the 2-D log potential about m (Greengard and Rokhlin,
     1987), which two-balls knows as the Poisson kernel's Fourier series
-    about its center. Far exits, |u_i| >= 2 rho, go through it: with s the
+    about its center. Far exits (`_series_terms`) go through it: with s the
     smallest far |u_i|, the coefficients S_k = sum_i (s/u_i)^k are computed
-    once and each theta costs K terms whatever the exit count. K makes
-    x^K <= SERIES_TOL at the largest ratio x = rho/|u_i| <= 1/2, so the
+    once and each theta costs K terms whatever the exit count; the
     truncation error, below n x^(K+1) / (1 - x), is under float rounding.
     Near exits go through the direct sum, their squared distances clamped
-    at SQ_DIST_FLOOR, and so do all exits when the series needs no fewer
-    terms than there are far exits. A point outside the disk, where the
-    series is not built to hold, takes the direct sum over every exit.
+    at SQ_DIST_FLOOR, and so does every exit for a point outside the disk,
+    where the series is not built to hold.
 
-    pairs per point counts the (point, exit) pairs sep holds in memory per
-    point: the near exits, plus one for the series accumulator.
+    sep takes any number of points: its direct sums run over blocks of at
+    most PAIR_BUDGET (point, exit) pairs, and the series holds O(1) values
+    per point, so its memory does not grow with the exit count.
     """
-    n = len(z)
     mx, my = float(m[0]), float(m[1])
 
     def direct(pts: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        dx = pts[:, 0:1] - zs[:, 0]
-        dy = pts[:, 1:2] - zs[:, 1]
-        s = dx * dx
-        s += dy * dy
-        np.maximum(s, SQ_DIST_FLOOR, out=s)
-        return np.log(s).sum(axis=1)
+        out = np.empty(len(pts))
+        block = max(1, PAIR_BUDGET // max(1, len(zs)))
+        for lo in range(0, len(pts), block):
+            dx = pts[lo : lo + block, 0:1] - zs[:, 0]
+            dy = pts[lo : lo + block, 1:2] - zs[:, 1]
+            s = dx * dx
+            s += dy * dy
+            np.maximum(s, SQ_DIST_FLOOR, out=s)
+            out[lo : lo + block] = np.log(s).sum(axis=1)
+        return out
 
     ux = z[:, 0] - mx
     uy = z[:, 1] - my
     d2 = ux * ux + uy * uy
-    far = (d2 >= 4.0 * rho * rho) & (d2 > 0.0)
-    n_far = int(far.sum())
-    K = n_far
-    if n_far:
-        scale = math.sqrt(float(d2[far].min()))
-        x = rho / scale
-        K = 1 if x == 0.0 else max(1, math.ceil(math.log(SERIES_TOL) / math.log(x)))
-    if K >= n_far:
-        return (lambda pts: direct(pts, z)), n
+    far, K = _series_terms(d2, rho)
+    if not K:
+        return lambda pts: direct(pts, z)
 
     near = z[~far]
     const = float(np.log(d2[far]).sum())
+    scale = math.sqrt(float(d2[far].min()))
     v = scale / (ux[far] + 1j * uy[far])
     coef = np.empty(K, dtype=complex)
     power = np.ones_like(v)
     for k in range(K):
         power *= v
         coef[k] = power.sum() / (k + 1)
-    out_block = max(1, PAIR_BUDGET // n)
 
     def sep(pts: np.ndarray) -> np.ndarray:
         wx = pts[:, 0] - mx
@@ -363,10 +377,7 @@ def _sep_expansion(z: np.ndarray, m: np.ndarray, rho: float):
         if len(pts) and r2.max() > rho * rho:
             inside = r2 <= rho * rho
             out = np.empty(len(pts))
-            outside = np.nonzero(~inside)[0]
-            for lo in range(0, len(outside), out_block):
-                idx = outside[lo : lo + out_block]
-                out[idx] = direct(pts[idx], z)
+            out[~inside] = direct(pts[~inside], z)
             out[inside] = sep(pts[inside])
             return out
         w = (wx + 1j * wy) / scale
@@ -379,12 +390,11 @@ def _sep_expansion(z: np.ndarray, m: np.ndarray, rho: float):
             total += direct(pts, near)
         return total
 
-    return sep, len(near) + 1
+    return sep
 
 
 def _rr_target(z: np.ndarray, alpha: float, beta: float, window):
-    """(log target, pairs per point) of random-radius on the window
-    (x0, x1, y0, y1).
+    """Log target of random-radius on the window (x0, x1, y0, y1).
 
     log f_Gamma(s_i) - log pi summed over exits, s_i = |z_i - theta|^2: the
     log terms go through _sep_expansion about the window's center m, with a
@@ -394,7 +404,7 @@ def _rr_target(z: np.ndarray, alpha: float, beta: float, window):
     x0, x1, y0, y1 = window
     m = np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
     n = len(z)
-    sep, width = _sep_expansion(z, m, 0.5 * math.hypot(x1 - x0, y1 - y0))
+    sep = _sep_expansion(z, m, 0.5 * math.hypot(x1 - x0, y1 - y0))
     u = z - m
     slope = 2.0 * beta * u.sum(axis=0)
     const = n * (alpha * math.log(beta) - float(gammaln(alpha)) - math.log(math.pi))
@@ -404,7 +414,7 @@ def _rr_target(z: np.ndarray, alpha: float, beta: float, window):
         w = pts - m
         return const + (alpha - 1.0) * sep(pts) - (w * (beta * n * w - slope)).sum(axis=1)
 
-    return target, width
+    return target
 
 
 def rr_log_posterior(theta, obs: ExitObservationSet):
@@ -419,20 +429,19 @@ def rr_log_posterior(theta, obs: ExitObservationSet):
     pts, single = _theta_batch(theta)
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     window = (lo[0], hi[0], lo[1], hi[1])
-    target, _ = _rr_target(obs.positions, spec.gamma.alpha, spec.gamma.beta, window)
-    out = target(pts)
+    out = _rr_target(obs.positions, spec.gamma.alpha, spec.gamma.beta, window)(pts)
     return float(out[0]) if single else out
 
 
 def _tb_target(z: np.ndarray, c: np.ndarray, r: float, R: float, alpha: float, beta: float):
-    """(log target, pairs per point) of two-balls with center c known.
+    """Log target of two-balls with center c known.
 
     The support is the disk |theta - c| < r, so the exit term is
     _sep_expansion about c with reach r: every exit lies R > r from c, and
     is far when R >= 2r, as in every study setting.
     """
     n = len(z)
-    sep, width = _sep_expansion(z, c, r)
+    sep = _sep_expansion(z, c, r)
     const = (
         -float(betaln(alpha, beta))
         - math.log(math.pi * r * r)
@@ -455,7 +464,7 @@ def _tb_target(z: np.ndarray, c: np.ndarray, r: float, R: float, alpha: float, b
             )
         return out
 
-    return target, width
+    return target
 
 
 def tb_log_posterior(theta, c, obs: ExitObservationSet):
@@ -469,9 +478,7 @@ def tb_log_posterior(theta, c, obs: ExitObservationSet):
     if not isinstance(spec, TwoBalls):
         raise TypeError(f"observations carry {type(spec).__name__}, not TwoBalls")
     pts, single = _theta_batch(theta)
-    target, _ = _tb_target(
-        obs.positions, as_xy(c), spec.r, spec.R, spec.beta.alpha, spec.beta.beta
-    )
+    target = _tb_target(obs.positions, as_xy(c), spec.r, spec.R, spec.beta.alpha, spec.beta.beta)
     out = target(pts)
     return float(out[0]) if single else out
 
@@ -708,13 +715,12 @@ class GridPosterior:
         )
 
 
-def grid_posterior(log_target, window, n: int = 400, pairs_per_point: int = 1) -> GridPosterior:
+def grid_posterior(log_target, window, n: int = 400) -> GridPosterior:
     """Evaluate log_target on an n x n midpoint grid and integrate.
 
     window is (x0, x1, y0, y1); log_target maps an (m, 2) array of points
-    to m log densities. pairs_per_point is how many (point, exit) pairs the
-    target expands per point; the grid is evaluated in blocks of at most
-    PAIR_BUDGET pairs, so memory stays bounded whatever the exit count.
+    to m log densities and gets the whole grid in one call. The targets
+    here bound their own memory (`_sep_expansion`).
     """
     x0, x1, y0, y1 = (float(v) for v in window)
     if not (x1 > x0 and y1 > y0):
@@ -723,14 +729,8 @@ def grid_posterior(log_target, window, n: int = 400, pairs_per_point: int = 1) -
     dy = (y1 - y0) / n
     xs = x0 + (np.arange(n) + 0.5) * dx
     ys = y0 + (np.arange(n) + 0.5) * dy
-    gx = np.repeat(xs, n)
-    gy = np.tile(ys, n)
-    block = max(1, PAIR_BUDGET // max(1, pairs_per_point))
-    logd = np.empty(n * n)
-    for lo in range(0, n * n, block):
-        pts = np.column_stack([gx[lo : lo + block], gy[lo : lo + block]])
-        logd[lo : lo + block] = log_target(pts)
-    logd = logd.reshape(n, n)
+    pts = np.column_stack([np.repeat(xs, n), np.tile(ys, n)])
+    logd = np.asarray(log_target(pts), dtype=float).reshape(n, n)
     peak = float(logd.max())
     if not math.isfinite(peak):
         raise ValueError("log target is -inf (or nan) everywhere on the window")
@@ -755,41 +755,31 @@ def grid_posterior(log_target, window, n: int = 400, pairs_per_point: int = 1) -
     )
 
 
-def _integrate(target, window, nodes: int, pairs_per_point: int, support=None):
+_PLANE = (-math.inf, math.inf, -math.inf, math.inf)
+
+
+def _integrate(target, window, nodes: int, support=_PLANE):
     """Grid posterior of target, refined until the posterior sd spans
     MIN_CELLS_PER_SD cells. Each refinement integrates again on the cells
     that hold mass (GridPosterior.mass_box), clipped to `support`, the box
-    the posterior lives in (None for the whole plane), with up to twice the
-    nodes when that box is still too wide for the sd, as for a multimodal
-    posterior.
+    the posterior lives in (the whole plane by default), with up to twice
+    the nodes when that box is still too wide for the sd, as for a
+    multimodal posterior.
 
     Returns (grid, edge mass along the sides that cut the support, grids
     integrated, nodes per axis). Raises DiagnosticsFailed when MAX_REFINES
     refinements do not resolve the posterior.
     """
     for grids in range(1, MAX_REFINES + 2):
-        gp = grid_posterior(target, window, nodes, pairs_per_point)
+        gp = grid_posterior(target, window, nodes)
         cells = np.array([window[1] - window[0], window[3] - window[2]]) / nodes
         sd = np.sqrt(np.diag(gp.cov))
         if np.all(sd >= MIN_CELLS_PER_SD * cells):
-            if support is None:
-                sides = (True,) * 4
-            else:
-                sides = (
-                    window[0] > support[0],
-                    window[1] < support[1],
-                    window[2] > support[2],
-                    window[3] < support[3],
-                )
+            # the window lies in the support, so a side cuts it where they differ
+            sides = tuple(w != s for w, s in zip(window, support))
             return gp, gp.edge_mass(sides), grids, nodes
-        window = gp.mass_box(REFINE_CELL_MASS)
-        if support is not None:
-            window = (
-                max(window[0], support[0]),
-                min(window[1], support[1]),
-                max(window[2], support[2]),
-                min(window[3], support[3]),
-            )
+        box = gp.mass_box(REFINE_CELL_MASS)
+        window = tuple(clip(b, s) for clip, b, s in zip((max, min, max, min), box, support))
         widths = np.array([window[1] - window[0], window[3] - window[2]])
         wanted = math.ceil(MIN_CELLS_PER_SD * float((widths / np.maximum(sd, cells)).max()))
         nodes = min(max(nodes, wanted), 2 * nodes)
@@ -837,21 +827,18 @@ def quadrature_window(obs: ExitObservationSet, center: Point | None = None):
     return _reach_box(obs.positions, spec.r_star)
 
 
-def _attack_fixed(obs: ExitObservationSet, theta_true):
+def _attack_fixed(obs: ExitObservationSet):
     # theta is the center of a radius-r_star circle through every exit.
     # Two exits leave the two candidates that mirror each other across the
     # line z1z2, equally likely; one exit leaves theta uniform on the circle
     # of radius r_star around it.
     est = recover_center(obs.positions, obs.strategy.r_star)
     if isinstance(est, UniqueCenter):
-        mean, variance = est.center.as_array(), 0.0
-    elif isinstance(est, CenterPair):
+        return est.center.as_array(), 0.0, 0.0, 0, 0
+    if isinstance(est, CenterPair):
         plus, minus = est.plus.as_array(), est.minus.as_array()
-        mean, variance = 0.5 * (plus + minus), float(((plus - minus) ** 2).sum()) / 4.0
-    else:
-        mean, variance = est.base.as_array(), est.radius**2
-    bias2 = float(((mean - as_xy(theta_true)) ** 2).sum())
-    return mean, bias2 + variance, bias2, variance, 0.0, 0, 0
+        return 0.5 * (plus + minus), float(((plus - minus) ** 2).sum()) / 4.0, 0.0, 0, 0
+    return est.base.as_array(), est.radius**2, 0.0, 0, 0
 
 
 def _radius_sd(alpha: float, beta: float) -> float:
@@ -890,7 +877,7 @@ def _rr_laplace(z: np.ndarray, alpha: float, beta: float):
     return None
 
 
-def _attack_rr(obs: ExitObservationSet, theta_true, cfg: AttackConfig):
+def _attack_rr(obs: ExitObservationSet, cfg: AttackConfig):
     spec = obs.strategy
     a, b = spec.gamma.alpha, spec.gamma.beta
     z = obs.positions
@@ -902,25 +889,22 @@ def _attack_rr(obs: ExitObservationSet, theta_true, cfg: AttackConfig):
         if sd.max() <= LAPLACE_SD_RATIO * _radius_sd(a, b):
             lo, hi = mode - WINDOW_SD * sd, mode + WINDOW_SD * sd
             window = (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
-            target, width = _rr_target(z, a, b, window)
-            gp, edge, grids, nodes = _integrate(target, window, cfg.quad_nodes, width)
+            gp, edge, grids, nodes = _integrate(_rr_target(z, a, b, window), window, cfg.quad_nodes)
             if edge <= EDGE_MASS_MAX:
-                return (gp.mean, *gp.mse_against(theta_true), edge, grids, nodes)
+                return gp.mean, float(np.trace(gp.cov)), edge, grids, nodes
     # Small n, or a posterior the Laplace window does not hold: integrate
     # over every place the exits allow.
     box = quadrature_window(obs)
-    target, width = _rr_target(z, a, b, box)
-    gp, edge, more, wide_nodes = _integrate(target, box, cfg.quad_nodes, width)
+    gp, edge, more, wide_nodes = _integrate(_rr_target(z, a, b, box), box, cfg.quad_nodes)
     _check_edge(edge)
-    return (gp.mean, *gp.mse_against(theta_true), edge, grids + more, max(nodes, wide_nodes))
+    return gp.mean, float(np.trace(gp.cov)), edge, grids + more, max(nodes, wide_nodes)
 
 
-def _attack_tb(obs: ExitObservationSet, theta_true, cfg: AttackConfig):
+def _attack_tb(obs: ExitObservationSet, cfg: AttackConfig):
     spec = obs.strategy
     z = obs.positions
     r, R, a, b = spec.r, spec.R, spec.beta.alpha, spec.beta.beta
     est = recover_center(z, R)
-    t = as_xy(theta_true)
 
     if isinstance(est, CenterArc):
         # One exit: the center sits at c(psi) = z1 + R (cos psi, sin psi)
@@ -931,21 +915,20 @@ def _attack_tb(obs: ExitObservationSet, theta_true, cfg: AttackConfig):
         # Then theta = z1 + rot(psi) ((R, 0) + q) has mean z1 and
         # E|theta - z1|^2 = E|(R, 0) + q|^2: one 2-D grid over q.
         square = (-r, r, -r, r)
-        target, width = _tb_target(np.array([[-R, 0.0]]), np.zeros(2), r, R, a, b)
-        gp, edge, grids, nodes = _integrate(target, square, cfg.quad_nodes, width, square)
+        target = _tb_target(np.array([[-R, 0.0]]), np.zeros(2), r, R, a, b)
+        gp, edge, grids, nodes = _integrate(target, square, cfg.quad_nodes, square)
         _check_edge(edge)
-        bias2 = float(((z[0] - t) ** 2).sum())
         variance = float((gp.mean[0] + R) ** 2 + gp.mean[1] ** 2 + np.trace(gp.cov))
-        return z[0], bias2 + variance, bias2, variance, edge, grids, nodes
+        return z[0], variance, edge, grids, nodes
 
     # One center (n >= 3), or a pair of candidates (n = 2) whose posterior
     # modes mix by their masses, by the law of total variance.
     centers = (est.center,) if isinstance(est, UniqueCenter) else (est.plus, est.minus)
     parts = []
     for cpt in centers:
-        target, width = _tb_target(z, cpt.as_array(), r, R, a, b)
+        target = _tb_target(z, cpt.as_array(), r, R, a, b)
         square = quadrature_window(obs, cpt)
-        parts.append(_integrate(target, square, cfg.quad_nodes, width, square))
+        parts.append(_integrate(target, square, cfg.quad_nodes, square))
     edge = max(p[1] for p in parts)
     _check_edge(edge)
     posts = [p[0] for p in parts]
@@ -953,12 +936,11 @@ def _attack_tb(obs: ExitObservationSet, theta_true, cfg: AttackConfig):
     wts = np.exp(lm - lm.max())
     wts /= wts.sum()
     mean = sum(w * g.mean for w, g in zip(wts, posts))
-    bias2 = float(((mean - t) ** 2).sum())
     variance = float(
         sum(w * (np.trace(g.cov) + ((g.mean - mean) ** 2).sum()) for w, g in zip(wts, posts))
     )
     grids = sum(p[2] for p in parts)
-    return mean, bias2 + variance, bias2, variance, edge, grids, max(p[3] for p in parts)
+    return mean, variance, edge, grids, max(p[3] for p in parts)
 
 
 def attack(
@@ -978,6 +960,10 @@ def attack(
     center (n >= 3), a mixture over the two candidate centers (n = 2), or
     one grid over the offset from the unknown center (n = 1).
 
+    Each strategy's attack returns only the posterior: its mean, total
+    variance, edge mass, grids and nodes. It is scored here, once, as
+    bias^2 + variance against theta_true.
+
     Every attack is deterministic: rng is accepted so that all attacks
     share one signature, and is never drawn from.
     """
@@ -985,17 +971,18 @@ def attack(
     t0 = time.perf_counter()
     spec = obs.strategy
     if isinstance(spec, FixedRadius):
-        parts = _attack_fixed(obs, theta_true)
+        post = _attack_fixed(obs)
     elif isinstance(spec, RandomRadius):
-        parts = _attack_rr(obs, theta_true, cfg)
+        post = _attack_rr(obs, cfg)
     elif isinstance(spec, TwoBalls):
-        parts = _attack_tb(obs, theta_true, cfg)
+        post = _attack_tb(obs, cfg)
     else:
         raise TypeError(f"unknown strategy spec {spec!r}")
-    mean, mse, bias2, variance, edge, grids, nodes = parts
+    mean, variance, edge, grids, nodes = post
+    bias2 = float(((mean - as_xy(theta_true)) ** 2).sum())
     return AttackReport(
         posterior_mean=Point(float(mean[0]), float(mean[1])),
-        posterior_mse=mse,
+        posterior_mse=bias2 + variance,
         bias2=bias2,
         variance=variance,
         edge_mass=edge,

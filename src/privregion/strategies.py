@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import betaln, gammainc
@@ -256,6 +257,13 @@ def _gauss_rule(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
+def _square(x: Fraction) -> tuple[float, float]:
+    """x^2 as the float nearest it and the float nearest what that leaves."""
+    sq = x * x
+    near = float(sq)
+    return near, float(sq - Fraction(near))
+
+
 def _two_balls_cdf(spec: TwoBalls, s: np.ndarray) -> np.ndarray:
     """P(SP <= s) for two-balls: the Beta mixture of the law given the offset.
 
@@ -275,19 +283,30 @@ def _two_balls_cdf(spec: TwoBalls, s: np.ndarray) -> np.ndarray:
     Gauss-Jacobi weight. For t_k >= 1/4 the two panels meet at (1 + t_k)/2.
     At t_k = 0 (s = R^2, no kink) [0, 1/2] carries t^(2a-1) in its weight.
     Above R^2 the integrand is 1 - P(SP <= s | t) and F is 1 minus it.
+    Near an end of the support 1 - t_k sets the mass, so it is formed from
+    the distance of s to that end, (R - r)^2 below R^2 and (R + r)^2 above,
+    never as 1 minus t_k.
     """
     r, big_r, a, b = spec.r, spec.R, spec.beta.alpha, spec.beta.beta
-    # s - R^2 to full precision near R^2: R^2 = R*R + r2_err, from the
-    # exact integer ratios of R and of R*R (int / int rounds correctly)
-    num, den = big_r.as_integer_ratio()
-    p_num, p_den = (big_r * big_r).as_integer_ratio()
-    r2_err = (num * num * p_den - p_num * den * den) / (den * den * p_den)
-    gap = (s - big_r * big_r) - r2_err
+    # s - R^2, s - (R - r)^2 and (R + r)^2 - s to full precision near those
+    # squares: each is the float nearest it plus the float nearest the rest
+    exact_r, exact_big_r = Fraction(r), Fraction(big_r)
+    r2, r2_err = _square(exact_big_r)
+    gap = (s - r2) - r2_err
     above = gap >= 0.0
     out = above.astype(float)
     live = np.flatnonzero((s > (big_r - r) ** 2) & (s < (big_r + r) ** 2))
-    tk = np.abs(gap[live]) / ((np.sqrt(s[live]) + big_r) * r)
-    live, tk = live[tk < 1.0], tk[tk < 1.0]  # rounding at the support's ends
+    root = np.sqrt(s[live])
+    tk = np.abs(gap[live]) / ((root + big_r) * r)
+    lo2, lo2_err = _square(exact_big_r - exact_r)
+    hi2, hi2_err = _square(exact_big_r + exact_r)
+    tk_comp = np.where(  # 1 - t_k
+        above[live],
+        ((hi2 - s[live]) + hi2_err) / ((root + (big_r + r)) * r),
+        ((s[live] - lo2) - lo2_err) / ((root + (big_r - r)) * r),
+    )
+    keep = tk_comp > 0.0  # rounding at the support's ends
+    live, tk, tk_comp = live[keep], tk[keep], tk_comp[keep]
     if live.size == 0:
         return out
     log_norm = math.log(2.0) - betaln(a, b)
@@ -300,15 +319,18 @@ def _two_balls_cdf(spec: TwoBalls, s: np.ndarray) -> np.ndarray:
     mant, expo = np.frexp(tk)
     zero = tk == 0.0
     graded = (tk < 0.25) & ~zero
-    last = np.where(zero, 0.5, np.where(graded, 0.5 * mant, 0.5 * (1.0 + tk)))
+    # the last panel is [t_k + lead, 1], of length tail
+    lead = np.where(zero, 0.5, np.where(graded, 0.5 * mant - tk, 0.5 * tk_comp))
+    tail = np.where(zero, 0.5, np.where(graded, 1.0 - 0.5 * mant, 0.5 * tk_comp))
 
     i = np.flatnonzero(~zero)  # first panel [t_k, t_k + h], t = t_k + h tau^2
-    h = np.where(graded, tk, 0.5 * (1.0 - tk))[i, None]
+    h = np.where(graded, tk, 0.5 * tk_comp)[i, None]
     e = h * x**2
     t = tk[i, None] + e
     owners.append(i)
     offsets.append(e)
-    weights.append(2.0 * h * x * w * density(t, (b - 1.0) * np.log1p(-t * t)))
+    log_rest = (b - 1.0) * np.log((tk_comp[i, None] - e) * (1.0 + t))  # (1 - t^2)^(b-1)
+    weights.append(2.0 * h * x * w * density(t, log_rest))
 
     n_mid = np.where(graded, -expo - 2, 0)  # [2^j t_k, 2^(j+1) t_k], j >= 1
     i = np.repeat(np.arange(tk.size), n_mid)
@@ -319,12 +341,12 @@ def _two_balls_cdf(spec: TwoBalls, s: np.ndarray) -> np.ndarray:
     offsets.append(e)
     weights.append(left[:, None] * w * density(t, (b - 1.0) * np.log1p(-t * t)))
 
-    x_end, w_end = _gauss_rule(b - 1.0, 0.0)  # [last, 1], (1 - t)^(b-1) in the weight
-    e = (last - tk)[:, None] + (1.0 - last)[:, None] * x_end
+    x_end, w_end = _gauss_rule(b - 1.0, 0.0)  # (1 - t)^(b-1) in the weight
+    e = lead[:, None] + tail[:, None] * x_end
     t = tk[:, None] + e
     owners.append(np.arange(tk.size))
     offsets.append(e)
-    weights.append((1.0 - last)[:, None] ** b * w_end * density(t, (b - 1.0) * np.log1p(t)))
+    weights.append(tail[:, None] ** b * w_end * density(t, (b - 1.0) * np.log1p(t)))
 
     if zero.any():  # [0, 1/2], t^(2a-1) in the weight
         x0, w0 = _gauss_rule(0.0, 2.0 * a - 1.0)

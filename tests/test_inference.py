@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,16 +239,18 @@ class TestPoissonKernelSeries:
         ang = rng.uniform(0.0, 2.0 * math.pi, 30)
         theta = c + rho[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
 
-        sep, pairs = inference._sep_expansion(z, c, r)
+        sep = inference._sep_expansion(z, c, r)
         # exits at least 2r from c take the series, with K terms for the
         # largest ratio r/|z_i - c|, when K is below their count
         d2 = ((z - c) ** 2).sum(axis=1)
-        far = d2 >= 4.0 * r * r
-        if far.any():
-            K = math.ceil(math.log(1e-17) / math.log(r / math.sqrt(d2[far].min())))
-            assert pairs == (n - far.sum() + 1 if K < far.sum() else n)
-        else:
-            assert pairs == n
+        outside = d2 >= 4.0 * r * r
+        want_K = 0
+        if outside.any():
+            K = math.ceil(math.log(1e-17) / math.log(r / math.sqrt(d2[outside].min())))
+            want_K = K if K < outside.sum() else 0
+        far, K = inference._series_terms(d2, r)
+        assert K == want_K
+        assert np.array_equal(far, outside & (want_K > 0))
         terms = np.log(((theta[:, None, :] - z[None, :, :]) ** 2).sum(axis=2))
         scale = np.maximum(np.abs(terms).sum(axis=1), 1.0)
         assert np.all(np.abs(sep(theta) - terms.sum(axis=1)) <= 1e-12 * scale)
@@ -259,11 +262,17 @@ class TestPoissonKernelSeries:
             phi = 2.0 * math.pi * np.arange(n) / n
             return 5.0 * np.column_stack([np.cos(phi), np.sin(phi)])
 
-        assert inference._sep_expansion(ring(43), np.zeros(2), 2.0)[1] == 43
-        assert inference._sep_expansion(ring(44), np.zeros(2), 2.0)[1] == 1
+        def split(n, rho):
+            return inference._series_terms((ring(n) ** 2).sum(axis=1), rho)
+
+        far, K = split(43, 2.0)
+        assert K == 0 and not far.any()
+        far, K = split(44, 2.0)
+        assert K == 43 and far.all()
         # r = R: the series would diverge, so every exit takes the direct sum
-        sep, pairs = inference._sep_expansion(ring(200), np.zeros(2), 5.0)
-        assert pairs == 200
+        far, K = split(200, 5.0)
+        assert K == 0 and not far.any()
+        sep = inference._sep_expansion(ring(200), np.zeros(2), 5.0)
         theta = _in_disk(make_rng(3), np.zeros(2), 4.9, 20)
         assert np.allclose(sep(theta), _direct_sep(theta, ring(200)).sum(axis=1), rtol=1e-13)
 
@@ -302,48 +311,54 @@ class TestLocalExpansion:
         z = m + dist[:, None] * np.column_stack([np.cos(phi), np.sin(phi)])
         theta = _in_disk(rng, m, rho, 40)
 
-        sep, pairs = inference._sep_expansion(z, m, rho)
-        assert 1 <= pairs <= n
+        sep = inference._sep_expansion(z, m, rho)
+        d2 = ((z - m) ** 2).sum(axis=1)
+        far, K = inference._series_terms(d2, rho)
+        assert np.all(d2[far] >= 4.0 * rho * rho)
+        assert K == 0 or 0 < K < far.sum()
         terms = _direct_sep(theta, z)
         tol = 1e-12 * np.maximum(np.abs(terms).sum(axis=1), 1.0)
         assert np.all(np.abs(sep(theta) - terms.sum(axis=1)) <= tol)
 
     def test_points_beyond_reach_take_the_direct_sum(self, monkeypatch):
         # 400 far exits: the series serves the disk; points outside it, as a
-        # refined window's padding can reach, still get the exact sum, in
-        # blocks of at most PAIR_BUDGET pairs
+        # refined window's padding can reach, still get the exact sum, and
+        # the size of the direct sum's blocks changes no value, bit for bit
         rng = make_rng(8)
         phi = rng.uniform(0.0, 2.0 * math.pi, 400)
         z = 3.0 * np.column_stack([np.cos(phi), np.sin(phi)])
-        sep, pairs = inference._sep_expansion(z, np.zeros(2), 0.5)
-        assert pairs == 1
-        monkeypatch.setattr(inference, "PAIR_BUDGET", 4000)
-        sep, _ = inference._sep_expansion(z, np.zeros(2), 0.5)
+        far, K = inference._series_terms((z**2).sum(axis=1), 0.5)
+        assert far.all() and 0 < K < 400
         theta = np.concatenate(
             [_in_disk(rng, np.zeros(2), 0.5, 30), _in_disk(rng, np.zeros(2), 1.4, 30)]
         )
+        got = inference._sep_expansion(z, np.zeros(2), 0.5)(theta)
         want = _direct_sep(theta, z).sum(axis=1)
-        assert np.allclose(sep(theta), want, rtol=1e-13, atol=0.0)
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+        for budget in (1, 4000):  # one point, or 10 points, per block
+            monkeypatch.setattr(inference, "PAIR_BUDGET", budget)
+            assert np.array_equal(inference._sep_expansion(z, np.zeros(2), 0.5)(theta), got)
 
     def test_random_radius_grid_cost_stops_growing_with_n(self, monkeypatch):
-        # r1-R3-a4-b4's matched Gamma at n = 1600: every grid of the attack
-        # holds fewer than 100 (point, exit) pairs per point, against 1600
-        # for the direct sum
+        # r1-R3-a4-b4's matched Gamma at n = 1600: every target of the
+        # attack sums fewer than 100 exits directly, against 1600 without
+        # the series
         cal = calibrate_random_radius(TB_MAIN)
         spec = RandomRadius(cal.matched_gamma)
-        real = inference.grid_posterior
-        widths = []
+        real = inference._series_terms
+        direct = []
 
-        def spy(log_target, window, n, pairs_per_point=1):
-            widths.append(pairs_per_point)
-            return real(log_target, window, n, pairs_per_point)
+        def spy(d2, rho):
+            far, K = real(d2, rho)
+            direct.append(len(d2) - int(far.sum()))
+            return far, K
 
-        monkeypatch.setattr(inference, "grid_posterior", spy)
+        monkeypatch.setattr(inference, "_series_terms", spy)
         for rep in range(6):
             obs = generate_observations(ORIGIN, spec, 1600, derive_rng(2, rep))
             attack(obs, ORIGIN, None)
-        assert len(widths) >= 6
-        assert max(widths) < 100
+        assert len(direct) >= 6
+        assert max(direct) < 100
 
 
 class TestRwmSample:
@@ -512,45 +527,74 @@ class TestGridPosterior:
         assert var == pytest.approx(2.0, abs=1e-4)
         assert mse == bias2 + var
 
-    def test_block_rows_do_not_matter(self):
-        # one block of 16384 points against blocks of 6 points
-        def target(p):
-            return -0.5 * (p**2).sum(axis=1)
-
-        a = grid_posterior(target, (-4.0, 4.0, -4.0, 4.0), n=128)
-        b = grid_posterior(target, (-4.0, 4.0, -4.0, 4.0), n=128, pairs_per_point=20_000)
-        assert a.log_mass == b.log_mass
-        assert np.array_equal(a.log_density, b.log_density)
+    def test_block_rows_do_not_matter(self, monkeypatch):
+        # the direct sums of a 1600-exit random-radius grid, and of a
+        # two-balls grid with near exits (r/R = 0.8), at the default block
+        # size against blocks of one point and of 7 points: bit for bit
+        rr_obs = generate_observations(ORIGIN, RR_MAIN, 1600, make_rng(4))
+        tb_obs = generate_observations(
+            ORIGIN, TwoBalls(2.4, 3.0, BetaParams(4.0, 4.0)), 300, make_rng(5)
+        )
+        c = tb_obs.shared_region.center
+        grids = (
+            (lambda p: rr_log_posterior(p, rr_obs), quadrature_window(rr_obs)),
+            (lambda p: tb_log_posterior(p, c, tb_obs), quadrature_window(tb_obs, c)),
+        )
+        want = [grid_posterior(target, window, n=24) for target, window in grids]
+        for budget in (1, 7 * 1600):
+            monkeypatch.setattr(inference, "PAIR_BUDGET", budget)
+            for (target, window), w in zip(grids, want):
+                got = grid_posterior(target, window, n=24)
+                assert got.log_mass == w.log_mass
+                assert np.array_equal(got.log_density, w.log_density)
 
     def test_blocks_stay_within_pair_budget_at_1600_exits(self, monkeypatch):
-        # a 400 x 400 grid of a 1600-exit target, and every attack grid at
-        # 1600 exits, evaluate at most PAIR_BUDGET (point, exit) pairs at once
+        # the public log-posterior on a 128 x 128 grid, and every attack at
+        # 1600 exits, square at most PAIR_BUDGET (point, exit) distances at once
         n_exits = 1600
-        seen = []
+        real = np.maximum
+        sizes = []
 
-        def target(p):
-            seen.append(len(p) * n_exits)
-            return -0.5 * (p**2).sum(axis=1)
+        def spy(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return real(a, *args, **kwargs)
 
-        grid_posterior(target, (-4.0, 4.0, -4.0, 4.0), n=400, pairs_per_point=n_exits)
-        assert sum(seen) == 400 * 400 * n_exits
-        assert max(seen) <= inference.PAIR_BUDGET
-
-        real = inference.grid_posterior
-        widths = []
-
-        def spy(log_target, window, n, pairs_per_point=1):
-            def counted(p):
-                widths.append(len(p) * pairs_per_point)
-                return log_target(p)
-
-            return real(counted, window, n, pairs_per_point)
-
-        monkeypatch.setattr(inference, "grid_posterior", spy)
+        obs = generate_observations(ORIGIN, RR_MAIN, n_exits, make_rng(17))
+        monkeypatch.setattr(np, "maximum", spy)
+        grid_posterior(lambda p: rr_log_posterior(p, obs), quadrature_window(obs), n=128)
+        assert sizes and max(sizes) <= inference.PAIR_BUDGET
         for spec in (RR_MAIN, TB_MAIN):
-            obs = generate_observations(ORIGIN, spec, n_exits, make_rng(17))
-            attack(obs, ORIGIN, make_rng(1))
-        assert widths and max(widths) <= inference.PAIR_BUDGET
+            attack(generate_observations(ORIGIN, spec, n_exits, make_rng(17)), ORIGIN, make_rng(1))
+        assert max(sizes) <= inference.PAIR_BUDGET
+
+    def test_peak_memory_stays_bounded_at_1600_exits(self):
+        # tracemalloc sees numpy's buffers: an attack, and a grid of the
+        # public log-posteriors, at 1600 exits allocate under 8 MB at peak,
+        # where one (point, exit) array of the 128 x 128 grid would take 210 MB
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                fn()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        rr = generate_observations(ORIGIN, RR_MAIN, 1600, make_rng(17))
+        tb = generate_observations(ORIGIN, TB_MAIN, 1600, make_rng(17))
+        c = tb.shared_region.center
+        runs = {
+            "rr attack": lambda: attack(rr, ORIGIN, None),
+            "tb attack": lambda: attack(tb, ORIGIN, None),
+            "rr grid": lambda: grid_posterior(
+                lambda p: rr_log_posterior(p, rr), quadrature_window(rr), n=128
+            ),
+            "tb grid": lambda: grid_posterior(
+                lambda p: tb_log_posterior(p, c, tb), quadrature_window(tb, c), n=128
+            ),
+        }
+        peaks = {name: peak(fn) for name, fn in runs.items()}
+        assert max(peaks.values()) < 8 * 2**20, peaks
 
     def test_edge_mass_counts_flagged_sides(self):
         grid = grid_posterior(lambda p: np.zeros(len(p)), (0.0, 1.0, 0.0, 1.0), n=10)

@@ -305,6 +305,35 @@ class TestSpCdf:
         below, at, above = sp_cdf(tb, [r2[0], tb.R**2, r2[1]])
         assert below - 1e-14 <= at <= above + 1e-14
 
+    # F((R - r)^2 (1 + 10^-k)) for k = 6, 9, 12 on the b < 1 shapes of
+    # CDF_SHAPES (r = 0.97 * 3.0, R = 3.0), at the floats s those products
+    # round to. Computed with mpmath 1.3 at 60 digits: its tanh-sinh
+    # quadrature of the conditional law times the Beta density over
+    # t in [t_k, 1], with t = 1 - (1 - t_k) w^(1/b), which takes up the
+    # (1 - t)^(b-1) end; splitting [0, 1] in w into 1 or 4 pieces agrees
+    # to 1e-54 relative.
+    LOWER_END = {
+        (7.0, 0.2): (
+            2.8519515478810546034e-5,
+            2.2653867045497344602e-7,
+            1.7997736213267762033e-9,
+        ),
+        (0.5, 0.5): (
+            5.5985433811253405475e-8,
+            5.5985464758561542992e-11,
+            5.5999376909845086879e-14,
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(LOWER_END), ids=lambda s: f"a{s[0]:g}-b{s[1]:g}")
+    def test_relative_accuracy_near_the_lower_end(self, shape):
+        # there 1 - t_k sets the mass, and is never formed as 1 minus t_k
+        tb = TwoBalls(0.97 * 3.0, 3.0, BetaParams(*shape))
+        assert tb in CDF_SHAPES
+        s = np.array([(tb.R - tb.r) ** 2 * (1.0 + 10.0**-k) for k in (6, 9, 12)])
+        ref = np.array(self.LOWER_END[shape])
+        assert np.abs(sp_cdf(tb, s) / ref - 1.0).max() <= 1e-9
+
     @pytest.mark.parametrize("tb", TABLE1_SETTINGS, ids=setting_tag)
     def test_mean_is_integral_of_survival(self, tb):
         # E[SP] = int_0^inf (1 - F(s)) ds, split at R^2, where F has a kink
