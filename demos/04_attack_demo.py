@@ -32,8 +32,9 @@ rep_tb = attack(obs_tb, home, rng)
 m = rep_tb.posterior_mean
 print(f"  posterior mean ({m.x:.3f}, {m.y:.3f}), posterior MSE "
       f"{rep_tb.posterior_mse:.3f} = bias^2 {rep_tb.bias2:.3f} + var {rep_tb.variance:.3f}")
-print(f"  quadrature: {rep_tb.grids} grid(s) of {rep_tb.nodes}x{rep_tb.nodes}, "
-      f"edge mass {rep_tb.edge_mass:.2g}, {rep_tb.wall_time * 1e3:.1f} ms")
+print(f"  quadrature: {rep_tb.rule} rule of {rep_tb.nodes} radial x {2 * rep_tb.nodes} angular "
+      f"nodes ({rep_tb.grids} rules evaluated), gap to the half-size rule "
+      f"{rep_tb.rule_gap:.2g}, {rep_tb.wall_time * 1e3:.1f} ms")
 
 # same utility cost, per-trajectory regions centered on the home
 cal = calibrate_random_radius(tb)
@@ -44,8 +45,9 @@ m = rep_rr.posterior_mean
 print(f"random-radius at matched SP moments:")
 print(f"  posterior mean ({m.x:.3f}, {m.y:.3f}), posterior MSE "
       f"{rep_rr.posterior_mse:.3f}")
-print(f"  quadrature: {rep_rr.grids} grid(s) of {rep_rr.nodes}x{rep_rr.nodes}, "
-      f"edge mass {rep_rr.edge_mass:.2g}, {rep_rr.wall_time * 1e3:.1f} ms")
+print(f"  quadrature: {rep_rr.rule} rule of {rep_rr.nodes}x{rep_rr.nodes} nodes "
+      f"({rep_rr.grids} rules evaluated), gap to the half-size rule "
+      f"{rep_rr.rule_gap:.2g}, {rep_rr.wall_time * 1e3:.1f} ms")
 
 ratio = rep_tb.posterior_mse / rep_rr.posterior_mse
 print(f"\nsame average perturbation, {ratio:.1f}x more residual "

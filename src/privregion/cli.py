@@ -156,7 +156,11 @@ def _cmd_attack(args) -> int:
     print(f"posterior_mse={rep.posterior_mse!r}")
     print(f"bias2={rep.bias2!r} variance={rep.variance!r}")
     if rep.grids:
-        print(f"grid={rep.nodes}x{rep.nodes} grids={rep.grids} edge_mass={rep.edge_mass:.3g}")
+        angles = 2 * rep.nodes if rep.rule == "polar" else rep.nodes
+        print(
+            f"grid={rep.nodes}x{angles} grids={rep.grids} rule={rep.rule} "
+            f"rule_gap={rep.rule_gap:.3g} edge_mass={rep.edge_mass:.3g}"
+        )
     print(f"wall_time={rep.wall_time:.3f}s")
     if args.out is not None:
         out = Path(args.out)

@@ -14,20 +14,32 @@ strategy yields a tractable unnormalized posterior:
 Both likelihoods hold the exit term sum_i log|z_i - theta|^2, and both
 evaluate it through one local expansion of the 2-D log potential
 (`_sep_expansion`): about c with reach r for two-balls, and for
-random-radius about the center of its window (the Laplace mode, or the
-fallback box's center) with a reach to the window's corners; points a
-refinement pads past them take the direct sum. Exits far from the expansion point enter through
-coefficients computed once, so a grid point costs a few dozen terms plus
-the near exits, whatever the exit count. The rest of the random-radius
-likelihood, sum_i |z_i - theta|^2, is a quadratic in theta.
+random-radius about the center of its window (the box around the Laplace
+rule's nodes, or the fallback box) with a reach to the window's corners;
+points a refinement pads past them take the direct sum. Exits far from
+the expansion point enter through coefficients computed once, so a node
+costs a few dozen terms plus the near exits, whatever the exit count; on
+the two-balls polar rule those terms are one matrix product. The rest of
+the random-radius likelihood, sum_i |z_i - theta|^2, is a quadratic in
+theta.
 
-Every attack integrates its posterior with the midpoint rule on a grid
-(`grid_posterior`), so it is deterministic and exact up to the grid. The
-windows come from attacker-visible data: the known support square for
-two-balls, the Laplace approximation at the Newton mode or a Gamma-quantile
-box around the exits for random-radius. A window is refined when the
-posterior sd spans too few cells, and an attack fails with
-`DiagnosticsFailed` when a window truncates visible mass.
+Every attack integrates its posterior with a deterministic quadrature
+rule, checked against the rule of half its size (`_rule_gap`, reported as
+`AttackReport.rule_gap`):
+
+* two-balls: a polar product rule on the support disk B(c, r),
+  Gauss-Jacobi nodes in u = |theta - c|^2/r^2 that carry the Beta
+  placement prior exactly, times equispaced angles. It holds the support
+  exactly, so nothing is truncated. A posterior too concentrated for a
+  whole-disk rule goes to a midpoint grid on the support square instead;
+* random-radius: a Gauss-Hermite product rule about the Laplace fit (mode
+  by Newton's method) when the posterior is narrow and the Gamma shape
+  exceeds 1, else a midpoint grid on a Gamma-quantile box around the
+  exits.
+
+A midpoint grid (`grid_posterior`) is refined when the posterior sd spans
+too few cells, and an attack fails with `DiagnosticsFailed` when a window
+truncates visible mass.
 Fixed-radius regions need no integration at all: every region is centered
 on theta with the known radius, so theta is the circle center that
 `recover_center` finds, one point for three or more exits and in closed
@@ -41,12 +53,15 @@ command or demo; they stay only because the benchmark's tracer
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betaln, gammainccinv, gammaln
+from numpy.polynomial.hermite_e import hermegauss
+from scipy.special import betaln, eval_jacobi, gammainccinv, gammaln
 
 from .core import Point, as_xy, fit_circle_center
 from .strategies import ExitObservationSet, FixedRadius, RandomRadius, TwoBalls
@@ -100,27 +115,53 @@ PAIR_BUDGET = 2**14
 # it is added to.
 SERIES_TOL = 1e-17
 
-# A Laplace window spans +- WINDOW_SD posterior sd (a Gaussian tail of
-# e^-32). A window is refined when the posterior sd spans fewer than
-# MIN_CELLS_PER_SD cells (the midpoint rule's error on a smooth peak falls
-# like exp(-2 pi^2 (sd/cell)^2), about e^-79 at 2 cells), at most
-# MAX_REFINES times, onto the cells that each hold at least REFINE_CELL_MASS
-# of the mass: together the others hold under 1e-10 at any node count used,
-# and a minor mode far from the mean is kept. EDGE_MASS_MAX is the largest
-# share of mass the outermost ring of cells may hold where a window cuts
-# the support.
-WINDOW_SD = 8.0
+# Gauss rules. A rule of N nodes per axis is checked against the rule of
+# N/2 (`_rule_gap`): their gap is the error of the half-size rule, and the
+# N rule is accepted when the gap is at most RULE_RTOL. Both rules converge
+# geometrically, so the accepted rule's own error is far below the gap: at
+# most 1.1e-11 relative in every case `tools/rule_table.py` measures, and
+# 2e-13 for the study settings' two-balls posteriors.
+RULE_RTOL = 1e-6
+
+# Two-balls polar rule on B(c, r): POLAR_START Gauss-Jacobi nodes in u, and
+# twice as many angles, doubled while the gap exceeds RULE_RTOL, up to
+# POLAR_CAP. A posterior whose mean lies rho from c, with total sd, needs
+# about POLAR_NODES_PER_SD (rho + sd) / sd nodes: the angle steps at its far
+# side, pi (rho + sd) / N long, must stay under about sd / 2. Over the six
+# study settings and four other shapes (b = 0.3 to 1) at n = 50 to 6400,
+# 8 replicates each, every posterior that 128 nodes certify has
+# (rho + sd) / sd <= 17.9, read from the 32-node rule. One that the start
+# rule shows to need more than POLAR_CAP goes to the square midpoint grid
+# at once.
+POLAR_START = 32
+POLAR_CAP = 128
+POLAR_NODES_PER_SD = 7.0
+
+# Random-radius Laplace fits take a HERMITE_NODES^2 Gauss-Hermite rule.
+HERMITE_NODES = 16
+
+# Midpoint grids: the random-radius box and the two-balls fallback. A grid
+# is refined when the posterior sd spans fewer than MIN_CELLS_PER_SD cells
+# (the midpoint rule's error on a smooth peak falls like
+# exp(-2 pi^2 (sd/cell)^2), about e^-79 at 2 cells), at most MAX_REFINES
+# times, onto the cells that each hold at least REFINE_CELL_MASS of the
+# mass: together the others hold under 1e-10 at any node count used, and a
+# minor mode far from the mean is kept. EDGE_MASS_MAX is the largest share
+# of mass the outermost ring of cells may hold where a window cuts the
+# support.
 MIN_CELLS_PER_SD = 2.0
 MAX_REFINES = 3
 REFINE_CELL_MASS = 1e-16
 EDGE_MASS_MAX = 1e-4
 
-# Random-radius windows. The fallback box keeps theta within the upper
-# RR_TAIL quantile of one region's radius of every exit. The Laplace window
-# (mode +- WINDOW_SD sd) is used only when the posterior sd is at most
-# LAPLACE_SD_RATIO times the sd of one region's radius: then every exit's
-# ring-shaped factor is close to linear across the peak. Wider posteriors
-# (small n) can be ring-shaped or multimodal and get the fallback box.
+# Random-radius rules. The fallback box keeps theta within the upper
+# RR_TAIL quantile of one region's radius of every exit. The Laplace fit is
+# used only when the Gamma shape exceeds 1 (below 1 the log-posterior is
+# +inf at every exit, which no Gaussian fits; at 1 the box is exact) and the
+# posterior sd is at most LAPLACE_SD_RATIO times the sd of one region's
+# radius: then every exit's ring-shaped factor is close to linear across
+# the peak. Wider posteriors (small n) can be ring-shaped or multimodal and
+# get the fallback box.
 RR_TAIL = 1e-12
 LAPLACE_SD_RATIO = 0.25
 
@@ -210,12 +251,16 @@ class PosteriorSamples:
 class AttackConfig:
     """Quadrature setting shared by all strategy attacks.
 
-    quad_nodes is the number of midpoint nodes per axis of every grid
-    (refinements may double it). The default is measured: against 400^2
-    grids over the six study settings at n = 3 to 1600, the largest
-    two-balls MSE gap is 9e-4 at 64 nodes, 2e-3 at 48 and 3e-3 at 32
-    (the support disk cuts grid cells); random-radius gaps stay below
-    1e-10 at 64 nodes and reach 4e-4 at 32.
+    quad_nodes is the number of midpoint nodes per axis of every midpoint
+    grid (refinements may double it). The Gauss rules do not use it, so it
+    governs only the random-radius box (small n, or Gamma shape at most 1)
+    and the two-balls fallback for posteriors too concentrated for the
+    polar rule. The default is measured, over the six study settings and
+    their matched Gammas: the largest relative MSE error of the box at
+    n = 1 to 20 is 1.1e-8 at 64 nodes, 6.7e-6 at 48 and 6.4e-5 at 32
+    (against 600^2 grids), and of the fallback at n = 3200 and 6400 it is
+    6.6e-11 at 64 nodes, 6.9e-10 at 48 and 1.2e-9 at 32 (against a
+    256 x 512 polar rule).
     """
 
     quad_nodes: int = 64
@@ -229,11 +274,22 @@ class AttackConfig:
 class AttackReport:
     """Outcome of one attack: posterior location estimate and its MSE.
 
-    edge_mass is the largest share of posterior mass found in the outermost
-    ring of cells wherever a quadrature window cut the posterior's support
-    (0 when every window held the whole support); grids counts the grids
-    integrated and nodes is the most nodes per axis any of them had.
-    Fixed-radius recovery is exact and integrates none.
+    rule names the rule that gave the posterior: "polar" (two-balls,
+    Gauss-Jacobi in u times equispaced angles on the support disk),
+    "hermite" (random-radius, Gauss-Hermite about the Laplace fit),
+    "midpoint" (a grid: the random-radius box, or a two-balls posterior too
+    concentrated for the disk rule) or "none" (fixed-radius recovery is
+    exact); a two-balls pair of candidate centers joins its two with "+".
+    rule_gap is the gap of the accepted Gauss rule to its half-size rule
+    (`_rule_gap`; 0 where a midpoint grid gave the posterior). edge_mass is
+    the largest share of posterior mass found in the outermost ring of
+    cells wherever a midpoint window cut the posterior's support (0 when
+    every window held the whole support, and for every Gauss rule).
+    grids counts the rules evaluated: the half-size check and every
+    doubling of a Gauss rule, and every midpoint grid, the ones before a
+    fallback included. nodes is the most nodes per axis of a rule that gave
+    the posterior: Gauss nodes in u for the polar rule, which has twice as
+    many angles.
     """
 
     posterior_mean: Point
@@ -241,20 +297,22 @@ class AttackReport:
     bias2: float
     variance: float
     edge_mass: float
+    rule_gap: float = field(default=0.0, kw_only=True)
+    rule: str = field(default="", kw_only=True)
     grids: int
     nodes: int
     wall_time: float
 
     def __post_init__(self) -> None:
-        vals = (self.posterior_mse, self.bias2, self.variance, self.edge_mass, self.wall_time)
+        vals = (self.posterior_mse, self.bias2, self.variance, self.edge_mass, self.rule_gap, self.wall_time)
         if not all(math.isfinite(v) for v in vals):
             raise ValueError(f"report fields must be finite, got {vals}")
         if self.posterior_mse < 0.0 or self.bias2 < 0.0 or self.variance < 0.0:
             raise ValueError("mse, bias2 and variance must be >= 0")
-        if not 0.0 <= self.edge_mass <= 1.0 or self.grids < 0 or self.nodes < 0:
+        if not 0.0 <= self.edge_mass <= 1.0 or self.rule_gap < 0.0 or self.grids < 0 or self.nodes < 0:
             raise ValueError(
-                f"need edge mass in [0, 1] and grids, nodes >= 0, got "
-                f"{self.edge_mass}, {self.grids}, {self.nodes}"
+                f"need edge mass in [0, 1] and rule gap, grids, nodes >= 0, got "
+                f"{self.edge_mass}, {self.rule_gap}, {self.grids}, {self.nodes}"
             )
         gap = abs(self.posterior_mse - (self.bias2 + self.variance))
         if gap > 1e-9 * max(self.posterior_mse, 1e-12):
@@ -318,6 +376,21 @@ def _series_terms(d2: np.ndarray, rho: float) -> tuple[np.ndarray, int]:
     return np.zeros(len(d2), dtype=bool), 0
 
 
+def _turns(n: int) -> np.ndarray:
+    """exp(2 pi i l / n) for l = 0, ..., n - 1."""
+    return np.exp(2j * math.pi * np.arange(n) / n)
+
+
+@functools.lru_cache(maxsize=64)
+def _fourier_rows(K: int, n: int) -> np.ndarray:
+    """[cos k phi_l; -sin k phi_l] for k = 1, ..., K and phi_l = 2 pi l / n,
+    a (2K, n) array read from one table of turns at k l mod n."""
+    turn = _turns(n)[np.outer(np.arange(1, K + 1), np.arange(n)) % n]
+    rows = np.vstack([turn.real, -turn.imag])
+    rows.setflags(write=False)
+    return rows
+
+
 def _sep_expansion(z: np.ndarray, m: np.ndarray, rho: float):
     """sep(pts) = sum_i log|z_i - theta|^2 for theta in the disk
     |theta - m| <= rho.
@@ -337,6 +410,12 @@ def _sep_expansion(z: np.ndarray, m: np.ndarray, rho: float):
     sep takes any number of points: its direct sums run over blocks of at
     most PAIR_BUDGET (point, exit) pairs, and the series holds O(1) values
     per point, so its memory does not grow with the exit count.
+
+    sep.polar(radii, n_angles) evaluates sep on the polar grid
+    m + radii_j (cos phi_l, sin phi_l), phi_l = 2 pi l / n_angles, radii at
+    most rho, as a (radii, angles) array. There the far exits' series is
+    one real matrix product, [Re, Im](S_k (rho_j/s)^k) @ [cos k phi; -sin k phi]
+    (`_fourier_rows`), in place of K complex Horner steps at every point.
     """
     mx, my = float(m[0]), float(m[1])
 
@@ -352,12 +431,26 @@ def _sep_expansion(z: np.ndarray, m: np.ndarray, rho: float):
             out[lo : lo + block] = np.log(s).sum(axis=1)
         return out
 
+    def polar_points(radii: np.ndarray, n_angles: int) -> np.ndarray:
+        turn = _turns(n_angles)
+        xs = mx + np.outer(radii, turn.real)
+        ys = my + np.outer(radii, turn.imag)
+        return np.column_stack([xs.ravel(), ys.ravel()])
+
     ux = z[:, 0] - mx
     uy = z[:, 1] - my
     d2 = ux * ux + uy * uy
     far, K = _series_terms(d2, rho)
     if not K:
-        return lambda pts: direct(pts, z)
+
+        def sep_direct(pts: np.ndarray) -> np.ndarray:
+            return direct(pts, z)
+
+        def polar_direct(radii: np.ndarray, n_angles: int) -> np.ndarray:
+            return direct(polar_points(radii, n_angles), z).reshape(len(radii), n_angles)
+
+        sep_direct.polar = polar_direct
+        return sep_direct
 
     near = z[~far]
     const = float(np.log(d2[far]).sum())
@@ -390,6 +483,14 @@ def _sep_expansion(z: np.ndarray, m: np.ndarray, rho: float):
             total += direct(pts, near)
         return total
 
+    def polar(radii: np.ndarray, n_angles: int) -> np.ndarray:
+        a = coef * (radii[:, None] / scale) ** np.arange(1, K + 1)
+        total = const - 2.0 * (np.hstack([a.real, a.imag]) @ _fourier_rows(K, n_angles))
+        if len(near):
+            total += direct(polar_points(radii, n_angles), near).reshape(total.shape)
+        return total
+
+    sep.polar = polar
     return sep
 
 
@@ -433,15 +534,17 @@ def rr_log_posterior(theta, obs: ExitObservationSet):
     return float(out[0]) if single else out
 
 
-def _tb_target(z: np.ndarray, c: np.ndarray, r: float, R: float, alpha: float, beta: float):
+def _tb_target(z: np.ndarray, c: np.ndarray, r: float, R: float, alpha: float, beta: float, sep=None):
     """Log target of two-balls with center c known.
 
     The support is the disk |theta - c| < r, so the exit term is
-    _sep_expansion about c with reach r: every exit lies R > r from c, and
-    is far when R >= 2r, as in every study setting.
+    _sep_expansion about c with reach r (built here unless `sep` is that
+    expansion already): every exit lies R > r from c, and is far when
+    R >= 2r, as in every study setting.
     """
     n = len(z)
-    sep = _sep_expansion(z, c, r)
+    if sep is None:
+        sep = _sep_expansion(z, c, r)
     const = (
         -float(betaln(alpha, beta))
         - math.log(math.pi * r * r)
@@ -827,18 +930,184 @@ def quadrature_window(obs: ExitObservationSet, center: Point | None = None):
     return _reach_box(obs.positions, spec.r_star)
 
 
+
+
+class _Moments(NamedTuple):
+    """Log of a posterior's mass, and its normalized mean and covariance."""
+
+    log_mass: float
+    mean: np.ndarray
+    cov: np.ndarray
+
+
+class _Quadrature(NamedTuple):
+    """How a posterior was integrated: the AttackReport fields of these names."""
+
+    rule: str
+    rule_gap: float
+    edge_mass: float
+    grids: int
+    nodes: int
+
+
+def _rule_gap(fine: _Moments, coarse: _Moments) -> float:
+    """Gap of a rule to its half-size rule: the largest of the relative
+    changes in mass and in total variance and the change of the mean in
+    posterior sd. The MSE against any theta moves by at most twice that,
+    relative."""
+    var = float(np.trace(fine.cov))
+    if not var > 0.0:
+        return math.inf
+    return max(
+        abs(math.expm1(min(coarse.log_mass - fine.log_mass, 1.0))),
+        abs(float(np.trace(coarse.cov)) - var) / var,
+        math.hypot(*(fine.mean - coarse.mean)) / math.sqrt(var),
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _jacobi_rule(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """N-node Gauss rule of the Beta(alpha, beta) law: nodes u in (0, 1) and
+    weights summing to 1.
+
+    These are scipy.special.roots_jacobi(N, beta - 1, alpha - 1) mapped by
+    u = (1 + x)/2, computed here with numpy alone, as roots_jacobi would
+    load scipy.linalg (6 MB resident): the eigenvalues of the Jacobi
+    matrix of the Jacobi polynomials' three-term recurrence (Golub and
+    Welsch, Math. Comp. 23, 1969), one Newton step on P_N, and weights
+    1 / ((1 - x^2) P_N'(x)^2) with P_N' proportional to P_(N-1) of
+    exponents one higher.
+    """
+    a, b = beta - 1.0, alpha - 1.0  # exponents of (1 - x) and (1 + x)
+    s = 2.0 * np.arange(1.0, N) + a + b
+    diag = np.concatenate([[(b - a) / (a + b + 2.0)], (b * b - a * a) / (s * (s + 2.0))])
+    # squared off-diagonal at k = 1, 2, ...: at k = 1 the factor k + a + b
+    # cancels against 2k + a + b - 1, both zero when a + b = -1
+    k, s = np.arange(2.0, N), s[1:]
+    off2 = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    off2 = np.concatenate([[4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))], off2])
+    off = np.sqrt(off2[: N - 1])
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    x -= eval_jacobi(N, a, b, x) / (0.5 * (N + a + b + 1.0) * eval_jacobi(N - 1, a + 1.0, b + 1.0, x))
+    dp = eval_jacobi(N - 1, a + 1.0, b + 1.0, x)
+    dp /= np.abs(dp).max()
+    w = 1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    u, w = 0.5 * (1.0 + x), w / w.sum()
+    u.setflags(write=False)
+    w.setflags(write=False)
+    return u, w
+
+
+@functools.lru_cache(maxsize=None)
+def _angle_moments(n: int) -> np.ndarray:
+    """(n, 6) columns 1, cos, sin, cos^2, sin^2, cos sin at phi_l = 2 pi l / n."""
+    cos, sin = _turns(n).real, _turns(n).imag
+    cols = np.column_stack([np.ones(n), cos, sin, cos * cos, sin * sin, cos * sin])
+    cols.setflags(write=False)
+    return cols
+
+
+@functools.lru_cache(maxsize=None)
+def _hermite_rule(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """N-node Gauss-Hermite rule of the standard normal law: nodes and
+    weights summing to 1."""
+    x, w = hermegauss(N)
+    w = w / w.sum()
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _polar_rule(sep, n: int, c: np.ndarray, r: float, R: float, alpha: float, beta: float, N: int) -> _Moments:
+    """Two-balls posterior moments on B(c, r) by the N-node polar rule.
+
+    With theta = c + r sqrt(u) (cos phi, sin phi) the area element is
+    r^2/2 du dphi, so the prior Beta(u; alpha, beta) / (pi r^2) is
+    Beta(u) du dphi / (2 pi): Gauss-Jacobi nodes in u carry it exactly and
+    2N equispaced angles (the trapezoid rule, geometric for a periodic
+    integrand; Trefethen and Weideman, SIAM Rev. 56, 2014) the uniform
+    angle. The nodes then weigh the exit likelihood alone, whose exit term
+    `sep` evaluates on the polar grid. The mass is on the scale of the
+    grids' (the log target's integral), so rules mix across centers.
+    """
+    u, wu = _jacobi_rule(N, alpha, beta)
+    radii = r * np.sqrt(u)
+    logw = (n * np.log(R * R - r * r * u) + np.log(wu))[:, None] - sep.polar(radii, 2 * N)
+    peak = float(logw.max())
+    # per radius, the weights' sums against 1, cos, sin, cos^2, sin^2, cos sin
+    sums = np.exp(logw - peak) @ _angle_moments(2 * N)
+    total = float(sums[:, 0].sum())
+    m1 = radii @ sums[:, 1:3] / total
+    m2 = (radii * radii) @ sums[:, 3:] / total
+    # moments about c: the variance's relative rounding grows like
+    # (|mean - c| / sd)^2, under 300 eps wherever the rule is accepted
+    cov = np.array([[m2[0], m2[2]], [m2[2], m2[1]]]) - np.outer(m1, m1)
+    log_mass = peak + math.log(total) - n * math.log(2.0 * math.pi * R) - math.log(2 * N)
+    return _Moments(log_mass, c + m1, cov)
+
+
+def _tb_disk(z: np.ndarray, c: np.ndarray, r: float, R: float, alpha: float, beta: float, cfg):
+    """(moments, quadrature) of the two-balls posterior on the disk B(c, r).
+
+    The polar rule starts at POLAR_START nodes and doubles until it is
+    within RULE_RTOL of its half-size rule. A posterior that the start
+    rule's mean and sd show to need more than POLAR_CAP nodes, or that
+    POLAR_CAP nodes do not certify, goes to the midpoint grid on the
+    support square.
+    """
+    sep = _sep_expansion(z, c, r)
+    N = POLAR_START
+    coarse = _polar_rule(sep, len(z), c, r, R, alpha, beta, N // 2)
+    fine = _polar_rule(sep, len(z), c, r, R, alpha, beta, N)
+    grids = 2
+    sd = math.sqrt(float(np.trace(fine.cov)))
+    too_narrow = POLAR_NODES_PER_SD * (math.hypot(*(fine.mean - c)) + sd) > POLAR_CAP * sd
+    while True:
+        gap = _rule_gap(fine, coarse)
+        if gap <= RULE_RTOL:
+            return fine, _Quadrature("polar", gap, 0.0, grids, N)
+        if too_narrow or N >= POLAR_CAP:
+            break
+        N *= 2
+        coarse, fine = fine, _polar_rule(sep, len(z), c, r, R, alpha, beta, N)
+        grids += 1
+    square = (c[0] - r, c[0] + r, c[1] - r, c[1] + r)
+    target = _tb_target(z, c, r, R, alpha, beta, sep)
+    gp, edge, more, nodes = _integrate(target, square, cfg.quad_nodes, square)
+    return gp, _Quadrature("midpoint", 0.0, edge, grids + more, nodes)
+
+
+def _hermite_moments(target, mode: np.ndarray, chol: np.ndarray, N: int) -> _Moments:
+    """Posterior moments by the N x N Gauss-Hermite rule in the whitened
+    coordinates theta = mode + chol xi: it integrates
+    p(theta) = |chol| p(mode + chol xi) against the standard normal law of
+    xi once divided by that law's density, 2 pi |chol| exp(|xi|^2 / 2) p."""
+    x, w = _hermite_rule(N)
+    xi = np.column_stack([np.repeat(x, N), np.tile(x, N)])
+    pts = mode + xi @ chol.T
+    logw = target(pts) + 0.5 * (xi * xi).sum(axis=1) + np.log(np.outer(w, w)).ravel()
+    peak = float(logw.max())
+    wts = np.exp(logw - peak)
+    total = float(wts.sum())
+    mean = wts @ pts / total
+    d = pts - mean
+    log_mass = peak + math.log(total) + math.log(2.0 * math.pi * chol[0, 0] * chol[1, 1])
+    return _Moments(log_mass, mean, (d.T * wts) @ d / total)
+
+
 def _attack_fixed(obs: ExitObservationSet):
     # theta is the center of a radius-r_star circle through every exit.
     # Two exits leave the two candidates that mirror each other across the
     # line z1z2, equally likely; one exit leaves theta uniform on the circle
     # of radius r_star around it.
     est = recover_center(obs.positions, obs.strategy.r_star)
+    exact = _Quadrature("none", 0.0, 0.0, 0, 0)
     if isinstance(est, UniqueCenter):
-        return est.center.as_array(), 0.0, 0.0, 0, 0
+        return est.center.as_array(), 0.0, exact
     if isinstance(est, CenterPair):
         plus, minus = est.plus.as_array(), est.minus.as_array()
-        return 0.5 * (plus + minus), float(((plus - minus) ** 2).sum()) / 4.0, 0.0, 0, 0
-    return est.base.as_array(), est.radius**2, 0.0, 0, 0
+        return 0.5 * (plus + minus), float(((plus - minus) ** 2).sum()) / 4.0, exact
+    return est.base.as_array(), est.radius**2, exact
 
 
 def _radius_sd(alpha: float, beta: float) -> float:
@@ -856,6 +1125,8 @@ def _rr_laplace(z: np.ndarray, alpha: float, beta: float):
     sum_i (alpha - 1) log s_i - beta s_i, s_i = |theta - z_i|^2, has
     gradient 2 sum_i g_i d_i and Hessian sum_i 2 g_i I - 4 (alpha - 1)
     d_i d_i^T / s_i^2, with d_i = theta - z_i and g_i = (alpha - 1)/s_i - beta.
+    The 2 x 2 Hessian's largest eigenvalue, solve and inverse are in
+    closed form.
     """
     mid = z.mean(axis=0)
     zc = z - mid
@@ -865,14 +1136,16 @@ def _rr_laplace(z: np.ndarray, alpha: float, beta: float):
         d = t - zc
         s = np.maximum((d * d).sum(axis=1), SQ_DIST_FLOOR)
         g = (alpha - 1.0) / s - beta
-        grad = 2.0 * (g @ d)
-        hess = 2.0 * g.sum() * np.eye(2) - 4.0 * (alpha - 1.0) * (d.T / s**2) @ d
-        if np.linalg.eigvalsh(hess)[-1] >= 0.0:
+        gx, gy = 2.0 * (g @ d)
+        q = 4.0 * (alpha - 1.0) * (d.T / s**2) @ d
+        hxx, hyy, hxy = 2.0 * g.sum() - q[0, 0], 2.0 * g.sum() - q[1, 1], -q[0, 1]
+        if 0.5 * (hxx + hyy) + math.hypot(0.5 * (hxx - hyy), hxy) >= 0.0:
             return None
-        step = -np.linalg.solve(hess, grad)
+        det = hxx * hyy - hxy * hxy
+        step = np.array([hxy * gy - hyy * gx, hxy * gx - hxx * gy]) / det
         size = math.hypot(*step)
         if size <= 1e-10 * scale:
-            return mid + t, np.linalg.inv(-hess)
+            return mid + t, np.array([[-hyy, hxy], [hxy, -hxx]]) / det
         t = t + step * min(1.0, scale / size)
     return None
 
@@ -881,23 +1154,30 @@ def _attack_rr(obs: ExitObservationSet, cfg: AttackConfig):
     spec = obs.strategy
     a, b = spec.gamma.alpha, spec.gamma.beta
     z = obs.positions
-    grids = nodes = 0
-    laplace = _rr_laplace(z, a, b)
+    grids = 0
+    laplace = _rr_laplace(z, a, b) if a > 1.0 else None
     if laplace is not None:
         mode, cov = laplace
-        sd = np.sqrt(np.diag(cov))
-        if sd.max() <= LAPLACE_SD_RATIO * _radius_sd(a, b):
-            lo, hi = mode - WINDOW_SD * sd, mode + WINDOW_SD * sd
-            window = (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
-            gp, edge, grids, nodes = _integrate(_rr_target(z, a, b, window), window, cfg.quad_nodes)
-            if edge <= EDGE_MASS_MAX:
-                return gp.mean, float(np.trace(gp.cov)), edge, grids, nodes
-    # Small n, or a posterior the Laplace window does not hold: integrate
+        if math.sqrt(float(cov.diagonal().max())) <= LAPLACE_SD_RATIO * _radius_sd(a, b):
+            chol = np.linalg.cholesky(cov)
+            # the expansion's window holds every node of both rules, with
+            # room for rounding at its corners
+            half = 1.001 * float(_hermite_rule(HERMITE_NODES)[0].max()) * np.abs(chol).sum(axis=1)
+            window = (mode[0] - half[0], mode[0] + half[0], mode[1] - half[1], mode[1] + half[1])
+            target = _rr_target(z, a, b, window)
+            coarse = _hermite_moments(target, mode, chol, HERMITE_NODES // 2)
+            fine = _hermite_moments(target, mode, chol, HERMITE_NODES)
+            grids = 2
+            gap = _rule_gap(fine, coarse)
+            if gap <= RULE_RTOL:
+                quad = _Quadrature("hermite", gap, 0.0, grids, HERMITE_NODES)
+                return fine.mean, float(np.trace(fine.cov)), quad
+    # Small n, or a posterior the Laplace fit does not describe: integrate
     # over every place the exits allow.
     box = quadrature_window(obs)
-    gp, edge, more, wide_nodes = _integrate(_rr_target(z, a, b, box), box, cfg.quad_nodes)
+    gp, edge, more, nodes = _integrate(_rr_target(z, a, b, box), box, cfg.quad_nodes)
     _check_edge(edge)
-    return gp.mean, float(np.trace(gp.cov)), edge, grids + more, max(nodes, wide_nodes)
+    return gp.mean, float(np.trace(gp.cov)), _Quadrature("midpoint", 0.0, edge, grids + more, nodes)
 
 
 def _attack_tb(obs: ExitObservationSet, cfg: AttackConfig):
@@ -913,25 +1193,26 @@ def _attack_tb(obs: ExitObservationSet, cfg: AttackConfig):
         # depends on q alone (through |q| and |R + q|, the exit sitting at
         # (-R, 0) from the center), so psi is uniform and independent of q.
         # Then theta = z1 + rot(psi) ((R, 0) + q) has mean z1 and
-        # E|theta - z1|^2 = E|(R, 0) + q|^2: one 2-D grid over q.
-        square = (-r, r, -r, r)
-        target = _tb_target(np.array([[-R, 0.0]]), np.zeros(2), r, R, a, b)
-        gp, edge, grids, nodes = _integrate(target, square, cfg.quad_nodes, square)
-        _check_edge(edge)
-        variance = float((gp.mean[0] + R) ** 2 + gp.mean[1] ** 2 + np.trace(gp.cov))
-        return z[0], variance, edge, grids, nodes
+        # E|theta - z1|^2 = E|(R, 0) + q|^2: one integral over q in B(0, r).
+        post, quad = _tb_disk(np.array([[-R, 0.0]]), np.zeros(2), r, R, a, b, cfg)
+        _check_edge(quad.edge_mass)
+        variance = float((post.mean[0] + R) ** 2 + post.mean[1] ** 2 + np.trace(post.cov))
+        return z[0], variance, quad
 
     # One center (n >= 3), or a pair of candidates (n = 2) whose posterior
     # modes mix by their masses, by the law of total variance.
     centers = (est.center,) if isinstance(est, UniqueCenter) else (est.plus, est.minus)
-    parts = []
-    for cpt in centers:
-        target = _tb_target(z, cpt.as_array(), r, R, a, b)
-        square = quadrature_window(obs, cpt)
-        parts.append(_integrate(target, square, cfg.quad_nodes, square))
-    edge = max(p[1] for p in parts)
-    _check_edge(edge)
-    posts = [p[0] for p in parts]
+    parts = [_tb_disk(z, cpt.as_array(), r, R, a, b, cfg) for cpt in centers]
+    quads = [q for _, q in parts]
+    quad = _Quadrature(
+        "+".join(dict.fromkeys(q.rule for q in quads)),
+        max(q.rule_gap for q in quads),
+        max(q.edge_mass for q in quads),
+        sum(q.grids for q in quads),
+        max(q.nodes for q in quads),
+    )
+    _check_edge(quad.edge_mass)
+    posts = [p for p, _ in parts]
     lm = np.array([g.log_mass for g in posts])
     wts = np.exp(lm - lm.max())
     wts /= wts.sum()
@@ -939,8 +1220,7 @@ def _attack_tb(obs: ExitObservationSet, cfg: AttackConfig):
     variance = float(
         sum(w * (np.trace(g.cov) + ((g.mean - mean) ** 2).sum()) for w, g in zip(wts, posts))
     )
-    grids = sum(p[2] for p in parts)
-    return mean, variance, edge, grids, max(p[3] for p in parts)
+    return mean, variance, quad
 
 
 def attack(
@@ -954,14 +1234,17 @@ def attack(
     Fixed-radius: the circle center through the exits, exact for n >= 3;
     the midpoint of the two candidates for n = 2 and the exit itself for
     n = 1, with the closed-form variance of those candidates.
-    Random-radius: quadrature on mode +- WINDOW_SD sd of the Laplace
-    approximation, or, for small n, on the box the exits allow. Two-balls:
-    center recovery first, then quadrature on the support square around the
-    center (n >= 3), a mixture over the two candidate centers (n = 2), or
-    one grid over the offset from the unknown center (n = 1).
+    Random-radius: the Gauss-Hermite rule about the Laplace fit when the
+    Gamma shape exceeds 1 and the posterior is narrow, else (or when the
+    rule is not certified) the midpoint grid on the box the exits allow.
+    Two-balls: center recovery first, then the polar rule on the support
+    disk around the center (n >= 3), a mixture over the two candidate
+    centers (n = 2), or one disk of offsets from the unknown center (n = 1);
+    a posterior too concentrated for the disk rule takes the midpoint grid
+    on the support square.
 
-    Each strategy's attack returns only the posterior: its mean, total
-    variance, edge mass, grids and nodes. It is scored here, once, as
+    Each strategy's attack returns only the posterior, its mean and total
+    variance, and how it was integrated. It is scored here, once, as
     bias^2 + variance against theta_true.
 
     Every attack is deterministic: rng is accepted so that all attacks
@@ -978,15 +1261,17 @@ def attack(
         post = _attack_tb(obs, cfg)
     else:
         raise TypeError(f"unknown strategy spec {spec!r}")
-    mean, variance, edge, grids, nodes = post
+    mean, variance, quad = post
     bias2 = float(((mean - as_xy(theta_true)) ** 2).sum())
     return AttackReport(
         posterior_mean=Point(float(mean[0]), float(mean[1])),
         posterior_mse=bias2 + variance,
         bias2=bias2,
         variance=variance,
-        edge_mass=edge,
-        grids=grids,
-        nodes=nodes,
+        edge_mass=quad.edge_mass,
+        rule_gap=quad.rule_gap,
+        rule=quad.rule,
+        grids=quad.grids,
+        nodes=quad.nodes,
         wall_time=time.perf_counter() - t0,
     )

@@ -491,6 +491,15 @@ class TestCli:
         assert "posterior_mse=" in out and "edge_mass=" in out
         assert re.search(r"^grid=\d+x\d+ grids=\d+ ", out, re.M)
 
+    def test_attack_prints_its_rule_and_gap(self, capsys):
+        # two-balls at n = 50: the polar rule, N nodes in u by 2N angles,
+        # certified against its half-size rule
+        argv = ["attack", "--strategy", "two-balls", "--r", "1", "--R", "3", "--alpha", "4", "--beta", "4"]
+        assert main(argv + ["--n", "50", "--seed", "4"]) == 0
+        got = re.search(r"^grid=(\d+)x(\d+) grids=(\d+) rule=polar rule_gap=(\S+) ", capsys.readouterr().out, re.M)
+        assert got and int(got[2]) == 2 * int(got[1]) and int(got[3]) >= 2
+        assert 0.0 <= float(got[4]) <= 1e-6
+
     def test_attack_fixed_radius_writes_report(self, tmp_path, capsys):
         rc = main(
             [

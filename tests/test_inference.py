@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import betaln, roots_jacobi
 
 from privregion import inference
 from privregion.core import BetaParams, GammaParams, Point, derive_rng, make_rng
+from privregion.experiments import TABLE1_SETTINGS
 from privregion.harmonic import harmonic_log_density
 from privregion.inference import (
     AdaptationFailed,
@@ -763,6 +765,25 @@ class TestAttackRandomRadius:
             report = attack(obs, ORIGIN, None)
             assert math.isfinite(report.posterior_mse) and report.posterior_mse > 0.0
 
+    def test_gamma_shape_below_one_skips_the_laplace_fit(self, monkeypatch):
+        # below shape 1 the log-posterior is +inf at every exit: no Laplace
+        # fit, so no Gauss-Hermite rule, only the box; above it the fit runs
+        real = inference._rr_laplace
+        fits = []
+
+        def spy(*args):
+            fits.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(inference, "_rr_laplace", spy)
+        for n in (1, 4, 50):
+            obs = generate_observations(ORIGIN, RandomRadius(GammaParams(0.7, 0.5)), n, make_rng(n))
+            report = attack(obs, ORIGIN, None)
+            assert report.rule == "midpoint" and report.rule_gap == 0.0
+        assert fits == []
+        report = attack(generate_observations(ORIGIN, RR_MAIN, 50, make_rng(50)), ORIGIN, None)
+        assert len(fits) == 1 and report.rule == "hermite"
+
 
 class TestAttackTwoBalls:
     def test_matches_grid_oracle(self):
@@ -777,33 +798,51 @@ class TestAttackTwoBalls:
             quadrature_window(obs, center=c.center),
         )
         mse_gap, mean_gap = _rel_gaps(report, grid, theta)
-        assert mse_gap < 1e-5  # measured 7e-7: the disk edge cuts grid cells
-        assert mean_gap < 1e-5
+        # measured 1.8e-10 and 2.0e-10: the oracle's own error, where the
+        # disk edge cuts its cells; the attack's polar rule holds the disk
+        assert mse_gap < 1e-8
+        assert mean_gap < 1e-8
 
     def test_draws_stay_in_support(self, rng, monkeypatch):
-        # every grid node the attack gives mass lies in the support disk
+        # every point at which the attack evaluates the two-balls target
+        # lies in the open support disk: the polar rule's nodes sit at
+        # c + radius (cos phi, sin phi), one rule per grid counted
         obs = generate_observations(ORIGIN, TB_MAIN, 6, rng)
-        real = inference.grid_posterior
-        grids = []
+        real = inference._sep_expansion
+        centers, points = [], []
 
-        def spy(*args, **kwargs):
-            grids.append(real(*args, **kwargs))
-            return grids[-1]
+        def spy(z, m, rho):
+            sep = real(z, m, rho)
 
-        monkeypatch.setattr(inference, "grid_posterior", spy)
+            def polar(radii, n_angles):
+                phi = 2.0 * math.pi * np.arange(n_angles) / n_angles
+                ring = np.column_stack([np.cos(phi), np.sin(phi)])
+                points.append(m + (radii[:, None, None] * ring).reshape(-1, 2))
+                return sep.polar(radii, n_angles)
+
+            def pointwise(pts):
+                points.append(pts)
+                return sep(pts)
+
+            centers.append(m)
+            pointwise.polar = polar
+            return pointwise
+
+        monkeypatch.setattr(inference, "_sep_expansion", spy)
         report = attack(obs, ORIGIN, rng)
         c = recover_center(obs.positions, TB_MAIN.R).center
         assert report.posterior_mean.distance_to(c) < TB_MAIN.r
-        assert len(grids) == report.grids == 1
-        for g in grids:
-            gx, gy = np.meshgrid(g.xs, g.ys, indexing="ij")
-            massive = np.isfinite(g.log_density)
-            assert np.all(np.hypot(gx - c.x, gy - c.y)[massive] < TB_MAIN.r)
+        assert report.rule == "polar"
+        assert len(points) == report.grids == 2
+        assert all(np.array_equal(m, c.as_array()) for m in centers)
+        for pts in points:
+            assert np.all(np.hypot(pts[:, 0] - c.x, pts[:, 1] - c.y) < TB_MAIN.r)
 
     def test_two_exit_mixture(self, rng):
         obs = generate_observations(ORIGIN, TB_MAIN, 2, rng)
         report = attack(obs, ORIGIN, rng)
-        assert report.grids == 2
+        # each candidate center: the polar rule and its half-size check
+        assert report.grids == 4 and report.rule == "polar"
         assert report.posterior_mse == pytest.approx(report.bias2 + report.variance, rel=1e-9)
         assert report.posterior_mse < (2.0 * TB_MAIN.R + TB_MAIN.r) ** 2
         # pure quadrature: a second run reproduces the numbers exactly
@@ -835,7 +874,7 @@ class TestAttackTwoBalls:
         assert report.posterior_mean == Point(*z)
         assert np.allclose(w @ th, z, atol=1e-9)
         assert report.posterior_mse == pytest.approx(float(w @ (th**2).sum(axis=1)), rel=1e-5)
-        assert report.grids == 1
+        assert report.grids == 2 and report.rule == "polar"
         # With a flat prior on theta, theta - z1 given z1 follows the law of
         # theta - z1 given theta, so the posterior E|theta - z1|^2 is the
         # mean SP, R^2 - r^2 alpha / (alpha + beta).
@@ -859,6 +898,140 @@ class TestAttackTwoBalls:
             attack(obs, ORIGIN, rng)
 
 
+def _polar_reference(obs, c, N=256):
+    """(log mass, mean, cov) of the two-balls posterior on B(c, r) by the
+    N x 2N Gauss-Jacobi x trapezoid rule, from the public pointwise
+    log-posterior: the Beta weight u^(a-1) (1-u)^(b-1) that the Jacobi
+    weights carry is divided out of tb_log_posterior at every node. The
+    rule's constant factors are the same for every center of one spec."""
+    spec = obs.strategy
+    r, a, b = spec.r, spec.beta.alpha, spec.beta.beta
+    x, w = roots_jacobi(N, b - 1.0, a - 1.0)
+    u = 0.5 * (1.0 + x)
+    phi = math.pi * np.arange(2 * N) / N
+    ring = np.column_stack([np.cos(phi), np.sin(phi)])
+    pts = (c + (r * np.sqrt(u))[:, None, None] * ring).reshape(-1, 2)
+    logp = tb_log_posterior(pts, c, obs).reshape(N, 2 * N)
+    logw = logp + (np.log(w) - (a - 1.0) * np.log(u) - (b - 1.0) * np.log1p(-u))[:, None]
+    peak = logw.max()
+    wts = np.exp(logw - peak).ravel()
+    total = wts.sum()
+    wts /= total
+    mean = wts @ pts
+    d = pts - mean
+    return peak + math.log(total), mean, (d.T * wts) @ d
+
+
+def _reference_tb(obs, theta):
+    """Reference (posterior MSE, variance) of the two-balls attack."""
+    spec = obs.strategy
+    est = recover_center(obs.positions, spec.R)
+    if isinstance(est, CenterArc):
+        # one exit: the offset from the center, as the attack integrates it
+        R = spec.R
+        one = ExitObservationSet(spec, [[-R, 0.0]], [[0.0, 0.0]], [R], [R * R])
+        _, m, cov = _polar_reference(one, np.zeros(2))
+        var = float((m[0] + R) ** 2 + m[1] ** 2 + np.trace(cov))
+        return float(((est.base.as_array() - theta) ** 2).sum()) + var, var
+    centers = (est.center,) if isinstance(est, UniqueCenter) else (est.plus, est.minus)
+    parts = [_polar_reference(obs, cpt.as_array()) for cpt in centers]
+    lm = np.array([p[0] for p in parts])
+    wts = np.exp(lm - lm.max())
+    wts /= wts.sum()
+    mean = sum(w * p[1] for w, p in zip(wts, parts))
+    var = float(sum(w * (np.trace(p[2]) + ((p[1] - mean) ** 2).sum()) for w, p in zip(wts, parts)))
+    return float(((mean - theta) ** 2).sum()) + var, var
+
+
+TB_REFERENCE_CASES = [(tb, n) for tb in TABLE1_SETTINGS for n in (1, 2, 3, 50, 1600)] + [
+    (TwoBalls(r, R, BetaParams(a, b)), n)
+    for r, R, a, b in ((2.0, 3.0, 2.0, 0.3), (1.0, 5.0, 4.0, 0.5))
+    for n in (3, 50, 300)
+]
+
+
+class TestGaussRules:
+    @pytest.mark.parametrize(
+        "spec, n",
+        TB_REFERENCE_CASES,
+        ids=[f"r{s.r:g}-R{s.R:g}-a{s.beta.alpha:g}-b{s.beta.beta:g}-n{n}" for s, n in TB_REFERENCE_CASES],
+    )
+    def test_two_balls_matches_polar_reference(self, spec, n):
+        # the attack's rule (series as a matrix product, weights from the
+        # Beta law) against a 256 x 512 rule on the pointwise log-posterior
+        obs = generate_observations(ORIGIN, spec, n, derive_rng(11, n))
+        report = attack(obs, ORIGIN, None)
+        mse, var = _reference_tb(obs, ORIGIN.as_array())
+        assert report.posterior_mse == pytest.approx(mse, rel=1e-10, abs=0.0)
+        assert report.variance == pytest.approx(var, rel=1e-10, abs=0.0)
+        assert report.rule_gap <= inference.RULE_RTOL
+
+    @pytest.mark.parametrize("n", [40, 50, 200, 1600])
+    def test_random_radius_matches_wide_grid(self, n):
+        # the six matched Gammas: the Gauss-Hermite attack against a 256^2
+        # midpoint grid on the Laplace fit's mode +- 8 sd. At n = 40 a
+        # posterior may still be too wide for the fit (r2-R5 here), and the
+        # box it takes instead must match as well
+        for k, tb in enumerate(TABLE1_SETTINGS):
+            gamma = calibrate_random_radius(tb).matched_gamma
+            obs = generate_observations(ORIGIN, RandomRadius(gamma), n, derive_rng(12, n, k))
+            report = attack(obs, ORIGIN, None)
+            assert report.rule == "hermite" or n == 40, (k, report.rule)
+            assert report.rule_gap <= inference.RULE_RTOL
+            mode, cov = inference._rr_laplace(obs.positions, gamma.alpha, gamma.beta)
+            half = 8.0 * np.sqrt(np.diag(cov))
+            window = (mode[0] - half[0], mode[0] + half[0], mode[1] - half[1], mode[1] + half[1])
+            grid = grid_posterior(lambda p: rr_log_posterior(p, obs), window, n=256)
+            mse, _, var = grid.mse_against(ORIGIN)
+            assert report.posterior_mse == pytest.approx(mse, rel=1e-10, abs=0.0), (k, n)
+            assert report.variance == pytest.approx(var, rel=1e-10, abs=0.0), (k, n)
+
+    def test_concentrated_near_edge_certifies_or_falls_back(self, monkeypatch):
+        # r/R = 0.97: exits 0.1 from the support, where the likelihood peaks
+        # sharply. An attack either certifies its polar rule and matches the
+        # reference, or takes the square grid; with nothing certifiable
+        # (RULE_RTOL = 0) every attack takes the grid
+        spec = TwoBalls(2.9, 3.0, BetaParams(4.0, 0.5))
+        obs = [generate_observations(ORIGIN, spec, 50, derive_rng(13, rep)) for rep in range(4)]
+        for o in obs:
+            report = attack(o, ORIGIN, None)
+            assert report.rule in ("polar", "midpoint")
+            if report.rule == "polar":
+                assert report.rule_gap <= inference.RULE_RTOL
+                mse, _ = _reference_tb(o, ORIGIN.as_array())
+                assert report.posterior_mse == pytest.approx(mse, rel=1e-10, abs=0.0)
+            else:
+                assert report.rule_gap == 0.0 and report.grids > 2
+        monkeypatch.setattr(inference, "RULE_RTOL", 0.0)
+        for o in obs:
+            report = attack(o, ORIGIN, None)
+            assert report.rule == "midpoint" and report.rule_gap == 0.0
+
+    @pytest.mark.parametrize("a, b", [(4.0, 4.0), (2.0, 0.3), (0.5, 0.5), (37.0, 1.5)])
+    def test_jacobi_rule_has_scipys_nodes(self, a, b):
+        # built without scipy.linalg, the rule keeps roots_jacobi's nodes;
+        # its weights agree to rounding of the smallest ones
+        for N in (1, 2, 16, 32, 64, 128):
+            u, w = inference._jacobi_rule(N, a, b)
+            x, ws = roots_jacobi(N, b - 1.0, a - 1.0)
+            assert np.allclose(u, 0.5 * (1.0 + x), rtol=0.0, atol=1e-15)
+            assert np.allclose(w, ws / ws.sum(), rtol=1e-9, atol=0.0)
+
+    def test_rules_are_exact_on_their_weights(self):
+        # the N-node Gauss-Jacobi rule integrates u^k, k < 2N, against
+        # Beta(a, b) exactly; the Gauss-Hermite rule x^k against N(0, 1)
+        a, b = 2.0, 0.3
+        u, w = inference._jacobi_rule(8, a, b)
+        for k in range(16):
+            exact = math.exp(betaln(a + k, b) - betaln(a, b))
+            assert w @ u**k == pytest.approx(exact, rel=1e-13)
+        x, w = inference._hermite_rule(8)
+        for k in range(16):
+            exact = 0.0 if k % 2 else math.prod(range(1, k, 2))
+            scale = math.prod(range(1, k + 1, 2))  # E|x|^k's order
+            assert w @ x**k == pytest.approx(exact, rel=1e-12, abs=1e-13 * scale)
+
+
 class TestAttackReport:
     def test_identity_enforced(self):
         AttackReport(Point(0.0, 0.0), 2.0, 1.5, 0.5, 0.0, 1, 64, 0.01)
@@ -870,3 +1043,10 @@ class TestAttackReport:
             AttackReport(Point(0.0, 0.0), -1.0, -1.5, 0.5, 0.0, 1, 64, 0.01)
         with pytest.raises(ValueError):
             AttackReport(Point(0.0, 0.0), 2.0, 1.5, 0.5, 1.5, 1, 64, 0.01)
+
+    def test_rule_gap_must_be_finite_and_nonnegative(self):
+        ok = AttackReport(Point(0.0, 0.0), 2.0, 1.5, 0.5, 0.0, 2, 32, 0.01, rule_gap=1e-9, rule="polar")
+        assert (ok.rule_gap, ok.rule) == (1e-9, "polar")
+        for gap in (-1e-9, math.inf):
+            with pytest.raises(ValueError):
+                AttackReport(Point(0.0, 0.0), 2.0, 1.5, 0.5, 0.0, 2, 32, 0.01, rule_gap=gap)
