@@ -20,7 +20,6 @@ from .harmonic import (
     sample_exit_offsets,
 )
 from .inference import (
-    AttackConfig,
     AttackReport,
     PosteriorSamples,
     attack,
@@ -68,7 +67,6 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackConfig",
     "AttackReport",
     "BetaParams",
     "CalibrationResult",

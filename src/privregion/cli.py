@@ -150,7 +150,7 @@ def _cmd_attack(args) -> int:
     conf = _scenario(args)
     rng = derive_rng(conf.master_seed, _TASK_ATTACK, 0)
     obs = generate_observations(theta, spec, args.n, rng)
-    rep = attack(obs, theta, rng, conf.sampler)
+    rep = attack(obs, theta, rng)
     print(f"strategy={args.strategy} n={args.n} seed={conf.master_seed}")
     print(f"posterior_mean={rep.posterior_mean.x!r},{rep.posterior_mean.y!r}")
     print(f"posterior_mse={rep.posterior_mse!r}")

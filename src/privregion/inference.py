@@ -37,9 +37,10 @@ rule, checked against the rule of half its size (`_rule_gap`, reported as
   exceeds 1, else a midpoint grid on a Gamma-quantile box around the
   exits.
 
-A midpoint grid (`grid_posterior`) is refined when the posterior sd spans
-too few cells, and an attack fails with `DiagnosticsFailed` when a window
-truncates visible mass.
+A midpoint grid (`grid_posterior`, GRID_NODES nodes per axis to start) is
+refined when the posterior sd spans too few cells, and an attack fails
+with `DiagnosticsFailed` when a window truncates visible mass. The
+attacks take no options: every rule size is a constant of this module.
 Fixed-radius regions need no integration at all: every region is centered
 on theta with the known radius, so theta is the circle center that
 `recover_center` finds, one point for three or more exits and in closed
@@ -61,9 +62,9 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.special import betaln, eval_jacobi, gammainccinv, gammaln
+from scipy.special import betaln, gammainccinv, gammaln
 
-from .core import Point, as_xy, fit_circle_center
+from .core import Point, as_xy, fit_circle_center, jacobi_rule
 from .strategies import ExitObservationSet, FixedRadius, RandomRadius, TwoBalls
 
 __all__ = [
@@ -77,7 +78,6 @@ __all__ = [
     "CenterArc",
     "CenterEstimate",
     "PosteriorSamples",
-    "AttackConfig",
     "AttackReport",
     "GridPosterior",
     "recover_center",
@@ -140,15 +140,21 @@ POLAR_NODES_PER_SD = 7.0
 # Random-radius Laplace fits take a HERMITE_NODES^2 Gauss-Hermite rule.
 HERMITE_NODES = 16
 
-# Midpoint grids: the random-radius box and the two-balls fallback. A grid
-# is refined when the posterior sd spans fewer than MIN_CELLS_PER_SD cells
-# (the midpoint rule's error on a smooth peak falls like
-# exp(-2 pi^2 (sd/cell)^2), about e^-79 at 2 cells), at most MAX_REFINES
-# times, onto the cells that each hold at least REFINE_CELL_MASS of the
-# mass: together the others hold under 1e-10 at any node count used, and a
-# minor mode far from the mean is kept. EDGE_MASS_MAX is the largest share
-# of mass the outermost ring of cells may hold where a window cuts the
-# support.
+# Midpoint grids: the random-radius box and the two-balls fallback. Each
+# starts at GRID_NODES nodes per axis. Over the six study settings and
+# their matched Gammas, the largest relative MSE error of the box at
+# n = 1 to 20 is 1.1e-8 at 64 nodes, 6.7e-6 at 48 and 6.4e-5 at 32
+# (against 600^2 grids), and of the fallback at n = 3200 and 6400 it is
+# 6.6e-11 at 64 nodes, 6.9e-10 at 48 and 1.2e-9 at 32 (against a
+# 256 x 512 polar rule). A grid is refined when the posterior sd spans
+# fewer than MIN_CELLS_PER_SD cells (the midpoint rule's error on a smooth
+# peak falls like exp(-2 pi^2 (sd/cell)^2), about e^-79 at 2 cells), at
+# most MAX_REFINES times, onto the cells that each hold at least
+# REFINE_CELL_MASS of the mass: together the others hold under 1e-10 at
+# any node count used, and a minor mode far from the mean is kept.
+# EDGE_MASS_MAX is the largest share of mass the outermost ring of cells
+# may hold where a window cuts the support.
+GRID_NODES = 64
 MIN_CELLS_PER_SD = 2.0
 MAX_REFINES = 3
 REFINE_CELL_MASS = 1e-16
@@ -167,7 +173,7 @@ LAPLACE_SD_RATIO = 0.25
 
 
 class NonFiniteInit(ValueError):
-    """The sampler was started where the log-target is not finite."""
+    """rwm_sample was started where the log-target is not finite."""
 
 
 class AdaptationFailed(RuntimeError):
@@ -245,29 +251,6 @@ class PosteriorSamples:
     @property
     def theta_draws(self) -> np.ndarray:
         return self.flattened[:, :2]
-
-
-@dataclass(frozen=True)
-class AttackConfig:
-    """Quadrature setting shared by all strategy attacks.
-
-    quad_nodes is the number of midpoint nodes per axis of every midpoint
-    grid (refinements may double it). The Gauss rules do not use it, so it
-    governs only the random-radius box (small n, or Gamma shape at most 1)
-    and the two-balls fallback for posteriors too concentrated for the
-    polar rule. The default is measured, over the six study settings and
-    their matched Gammas: the largest relative MSE error of the box at
-    n = 1 to 20 is 1.1e-8 at 64 nodes, 6.7e-6 at 48 and 6.4e-5 at 32
-    (against 600^2 grids), and of the fallback at n = 3200 and 6400 it is
-    6.6e-11 at 64 nodes, 6.9e-10 at 48 and 1.2e-9 at 32 (against a
-    256 x 512 polar rule).
-    """
-
-    quad_nodes: int = 64
-
-    def __post_init__(self) -> None:
-        if self.quad_nodes < 16:
-            raise ValueError(f"quad_nodes too small: {self.quad_nodes}")
 
 
 @dataclass(frozen=True)
@@ -965,39 +948,6 @@ def _rule_gap(fine: _Moments, coarse: _Moments) -> float:
     )
 
 
-@functools.lru_cache(maxsize=256)
-def _jacobi_rule(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """N-node Gauss rule of the Beta(alpha, beta) law: nodes u in (0, 1) and
-    weights summing to 1.
-
-    These are scipy.special.roots_jacobi(N, beta - 1, alpha - 1) mapped by
-    u = (1 + x)/2, computed here with numpy alone, as roots_jacobi would
-    load scipy.linalg (6 MB resident): the eigenvalues of the Jacobi
-    matrix of the Jacobi polynomials' three-term recurrence (Golub and
-    Welsch, Math. Comp. 23, 1969), one Newton step on P_N, and weights
-    1 / ((1 - x^2) P_N'(x)^2) with P_N' proportional to P_(N-1) of
-    exponents one higher.
-    """
-    a, b = beta - 1.0, alpha - 1.0  # exponents of (1 - x) and (1 + x)
-    s = 2.0 * np.arange(1.0, N) + a + b
-    diag = np.concatenate([[(b - a) / (a + b + 2.0)], (b * b - a * a) / (s * (s + 2.0))])
-    # squared off-diagonal at k = 1, 2, ...: at k = 1 the factor k + a + b
-    # cancels against 2k + a + b - 1, both zero when a + b = -1
-    k, s = np.arange(2.0, N), s[1:]
-    off2 = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))
-    off2 = np.concatenate([[4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))], off2])
-    off = np.sqrt(off2[: N - 1])
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    x -= eval_jacobi(N, a, b, x) / (0.5 * (N + a + b + 1.0) * eval_jacobi(N - 1, a + 1.0, b + 1.0, x))
-    dp = eval_jacobi(N - 1, a + 1.0, b + 1.0, x)
-    dp /= np.abs(dp).max()
-    w = 1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
-    u, w = 0.5 * (1.0 + x), w / w.sum()
-    u.setflags(write=False)
-    w.setflags(write=False)
-    return u, w
-
-
 @functools.lru_cache(maxsize=None)
 def _angle_moments(n: int) -> np.ndarray:
     """(n, 6) columns 1, cos, sin, cos^2, sin^2, cos sin at phi_l = 2 pi l / n."""
@@ -1030,7 +980,7 @@ def _polar_rule(sep, n: int, c: np.ndarray, r: float, R: float, alpha: float, be
     `sep` evaluates on the polar grid. The mass is on the scale of the
     grids' (the log target's integral), so rules mix across centers.
     """
-    u, wu = _jacobi_rule(N, alpha, beta)
+    u, wu = jacobi_rule(N, alpha, beta)
     radii = r * np.sqrt(u)
     logw = (n * np.log(R * R - r * r * u) + np.log(wu))[:, None] - sep.polar(radii, 2 * N)
     peak = float(logw.max())
@@ -1046,7 +996,7 @@ def _polar_rule(sep, n: int, c: np.ndarray, r: float, R: float, alpha: float, be
     return _Moments(log_mass, c + m1, cov)
 
 
-def _tb_disk(z: np.ndarray, c: np.ndarray, r: float, R: float, alpha: float, beta: float, cfg):
+def _tb_disk(z: np.ndarray, c: np.ndarray, r: float, R: float, alpha: float, beta: float):
     """(moments, quadrature) of the two-balls posterior on the disk B(c, r).
 
     The polar rule starts at POLAR_START nodes and doubles until it is
@@ -1073,7 +1023,7 @@ def _tb_disk(z: np.ndarray, c: np.ndarray, r: float, R: float, alpha: float, bet
         grids += 1
     square = (c[0] - r, c[0] + r, c[1] - r, c[1] + r)
     target = _tb_target(z, c, r, R, alpha, beta, sep)
-    gp, edge, more, nodes = _integrate(target, square, cfg.quad_nodes, square)
+    gp, edge, more, nodes = _integrate(target, square, GRID_NODES, square)
     return gp, _Quadrature("midpoint", 0.0, edge, grids + more, nodes)
 
 
@@ -1150,7 +1100,7 @@ def _rr_laplace(z: np.ndarray, alpha: float, beta: float):
     return None
 
 
-def _attack_rr(obs: ExitObservationSet, cfg: AttackConfig):
+def _attack_rr(obs: ExitObservationSet):
     spec = obs.strategy
     a, b = spec.gamma.alpha, spec.gamma.beta
     z = obs.positions
@@ -1175,12 +1125,12 @@ def _attack_rr(obs: ExitObservationSet, cfg: AttackConfig):
     # Small n, or a posterior the Laplace fit does not describe: integrate
     # over every place the exits allow.
     box = quadrature_window(obs)
-    gp, edge, more, nodes = _integrate(_rr_target(z, a, b, box), box, cfg.quad_nodes)
+    gp, edge, more, nodes = _integrate(_rr_target(z, a, b, box), box, GRID_NODES)
     _check_edge(edge)
     return gp.mean, float(np.trace(gp.cov)), _Quadrature("midpoint", 0.0, edge, grids + more, nodes)
 
 
-def _attack_tb(obs: ExitObservationSet, cfg: AttackConfig):
+def _attack_tb(obs: ExitObservationSet):
     spec = obs.strategy
     z = obs.positions
     r, R, a, b = spec.r, spec.R, spec.beta.alpha, spec.beta.beta
@@ -1194,7 +1144,7 @@ def _attack_tb(obs: ExitObservationSet, cfg: AttackConfig):
         # (-R, 0) from the center), so psi is uniform and independent of q.
         # Then theta = z1 + rot(psi) ((R, 0) + q) has mean z1 and
         # E|theta - z1|^2 = E|(R, 0) + q|^2: one integral over q in B(0, r).
-        post, quad = _tb_disk(np.array([[-R, 0.0]]), np.zeros(2), r, R, a, b, cfg)
+        post, quad = _tb_disk(np.array([[-R, 0.0]]), np.zeros(2), r, R, a, b)
         _check_edge(quad.edge_mass)
         variance = float((post.mean[0] + R) ** 2 + post.mean[1] ** 2 + np.trace(post.cov))
         return z[0], variance, quad
@@ -1202,7 +1152,7 @@ def _attack_tb(obs: ExitObservationSet, cfg: AttackConfig):
     # One center (n >= 3), or a pair of candidates (n = 2) whose posterior
     # modes mix by their masses, by the law of total variance.
     centers = (est.center,) if isinstance(est, UniqueCenter) else (est.plus, est.minus)
-    parts = [_tb_disk(z, cpt.as_array(), r, R, a, b, cfg) for cpt in centers]
+    parts = [_tb_disk(z, cpt.as_array(), r, R, a, b) for cpt in centers]
     quads = [q for _, q in parts]
     quad = _Quadrature(
         "+".join(dict.fromkeys(q.rule for q in quads)),
@@ -1227,7 +1177,7 @@ def attack(
     obs: ExitObservationSet,
     theta_true,
     rng: np.random.Generator,
-    config: AttackConfig | None = None,
+    config=None,
 ) -> AttackReport:
     """Run the strategy-appropriate attack and score it against the truth.
 
@@ -1247,18 +1197,18 @@ def attack(
     variance, and how it was integrated. It is scored here, once, as
     bias^2 + variance against theta_true.
 
-    Every attack is deterministic: rng is accepted so that all attacks
-    share one signature, and is never drawn from.
+    Every attack is deterministic and takes no options: rng and config are
+    accepted, never used, because the benchmark's worker
+    (`perfbench/worker.py`) calls attack with four positional arguments.
     """
-    cfg = config if config is not None else AttackConfig()
     t0 = time.perf_counter()
     spec = obs.strategy
     if isinstance(spec, FixedRadius):
         post = _attack_fixed(obs)
     elif isinstance(spec, RandomRadius):
-        post = _attack_rr(obs, cfg)
+        post = _attack_rr(obs)
     elif isinstance(spec, TwoBalls):
-        post = _attack_tb(obs, cfg)
+        post = _attack_tb(obs)
     else:
         raise TypeError(f"unknown strategy spec {spec!r}")
     mean, variance, quad = post

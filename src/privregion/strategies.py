@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import betaln, gammainc
 
 from . import harmonic
-from .core import BetaParams, Disk, GammaParams, Point, as_xy, sample_beta, sample_gamma
+from .core import BetaParams, Disk, GammaParams, Point, as_xy, jacobi_rule, sample_beta, sample_gamma
 from .trajectory import CutResult, Trajectory, cut_privacy_region
 
 __all__ = [
@@ -223,38 +223,15 @@ def sample_sps(spec: StrategySpec, n_draws: int, rng: np.random.Generator) -> np
 # and the s values done at once, which bounds its node arrays' memory.
 _PANEL_NODES = 24
 _CDF_BLOCK = 1024
-_GAUSS_RULES: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _gauss_rule(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [0, 1] of the Gauss rule for (1 - x)^alpha x^beta.
-
-    Golub & Welsch (1969): the nodes are the eigenvalues of the Jacobi
-    matrix of the monic Jacobi polynomials P^(alpha, beta) on [-1, 1],
-    mapped to [0, 1]; the weights are the squared first components of its
-    eigenvectors times the weight's mass B(alpha + 1, beta + 1). Each rule
-    is computed once per process, so that repeated scalar calls of sp_cdf
-    (a bisection for a quantile) do not pay for it every time.
-    """
-    if (alpha, beta) in _GAUSS_RULES:
-        return _GAUSS_RULES[alpha, beta]
-    k = np.arange(1, _PANEL_NODES, dtype=float)
-    ab = alpha + beta
-    s = 2.0 * k + ab
-    diag = np.empty(_PANEL_NODES)
-    diag[0] = (beta - alpha) / (ab + 2.0)
-    diag[1:] = (beta**2 - alpha**2) / (s * (s + 2.0))
-    # k = 1 cancels the factor k + alpha + beta against s - 1 by hand, as
-    # both vanish when alpha + beta = -1
-    off2 = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s + 1.0) * (s - 1.0))
-    off2[0] = 4.0 * (1.0 + alpha) * (1.0 + beta) / ((ab + 2.0) ** 2 * (ab + 3.0))
-    jacobi = np.diag(diag) + np.diag(np.sqrt(off2), 1) + np.diag(np.sqrt(off2), -1)
-    nodes, vecs = np.linalg.eigh(jacobi)
-    rule = 0.5 * (1.0 + nodes), math.exp(betaln(alpha + 1.0, beta + 1.0)) * vecs[0] ** 2
-    for arr in rule:
-        arr.setflags(write=False)  # shared by every later call
-    _GAUSS_RULES[alpha, beta] = rule
-    return rule
+    """Nodes and weights on [0, 1] of the _PANEL_NODES-node Gauss rule for
+    the weight (1 - x)^alpha x^beta: the Beta(beta + 1, alpha + 1) rule
+    (`core.jacobi_rule`, built once per process) with its weights scaled
+    by the weight's mass B(alpha + 1, beta + 1)."""
+    x, w = jacobi_rule(_PANEL_NODES, beta + 1.0, alpha + 1.0)
+    return x, math.exp(betaln(alpha + 1.0, beta + 1.0)) * w
 
 
 def _square(x: Fraction) -> tuple[float, float]:

@@ -14,7 +14,7 @@ import privregion
 from privregion import experiments
 from privregion.core import Point, derive_rng
 from privregion.experiments import TABLE1_SETTINGS
-from privregion.inference import AttackConfig, AttackReport
+from privregion.inference import AttackReport
 from privregion.strategies import generate_observations
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -47,6 +47,6 @@ def test_attack_takes_four_positional_arguments():
     theta = Point(0.0, 0.0)
     rng = derive_rng(5, 1)
     obs = generate_observations(theta, TABLE1_SETTINGS[0], 20, rng)
-    rep = experiments.attack(obs, theta, rng, AttackConfig())
+    rep = experiments.attack(obs, theta, rng, None)
     assert isinstance(rep, AttackReport)
     assert rep.posterior_mse == rep.bias2 + rep.variance

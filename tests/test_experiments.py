@@ -21,11 +21,9 @@ from privregion.experiments import (
     run_table1,
     setting_tag,
 )
-from privregion.inference import AttackConfig, AttackReport
+from privregion.inference import AttackReport
 from privregion.strategies import FixedRadius, TwoBalls
 from privregion.trajectory import Trajectory, read_track
-
-LIGHT_SAMPLER = AttackConfig(quad_nodes=32)
 
 
 def tiny_config(out_dir, **kw):
@@ -37,7 +35,6 @@ def tiny_config(out_dir, **kw):
         n_replicates=3,
         sample_sizes=(5, 10),
         bench_repeats=1,
-        sampler=LIGHT_SAMPLER,
     )
     base.update(kw)
     return ScenarioConfig(**base)
@@ -239,7 +236,7 @@ class TestRunCurve:
         # tail, so hi is its 0.995 quantile, found by bisection. The matched
         # Gamma's shape is 0.1 here, where most random-radius attacks cannot
         # resolve the posterior's peaks at the exits, so attacks are stubbed
-        def stub_attack(obs, theta, rng, cfg):
+        def stub_attack(obs, theta, rng):
             return AttackReport(Point(0.0, 0.0), 1.0, 0.5, 0.5, 0.0, 0, 0, 0.0)
 
         monkeypatch.setattr(experiments, "attack", stub_attack)
@@ -359,7 +356,6 @@ class TestLoadConfig:
                     "master_seed": 5,
                     "n_replicates": 7,
                     "settings": [{"r": 1, "R": 3, "alpha": 4, "beta": 4}],
-                    "sampler": {"quad_nodes": 32},
                 }
             )
         )
@@ -367,7 +363,6 @@ class TestLoadConfig:
         assert cfg.master_seed == 5
         assert cfg.n_replicates == 7  # None override ignored
         assert cfg.settings == (TwoBalls(1.0, 3.0, BetaParams(4.0, 4.0)),)
-        assert cfg.sampler == AttackConfig(quad_nodes=32)
 
         cfg2 = load_config(p, n_replicates=2)
         assert cfg2.n_replicates == 2  # explicit override wins
@@ -381,9 +376,10 @@ class TestLoadConfig:
     def test_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown"):
             load_config(None, master_seed=1, replicates=3)
-        # the Metropolis settings are gone with the sampler
-        for key in ("n_chains", "n_burn", "n_keep", "target_accept", "rhat_max", "ess_min"):
-            with pytest.raises(ConfigError, match=f"unknown sampler config keys: \\['{key}'\\]"):
+        # the attack takes no options: the sampler section, and with it the
+        # Metropolis settings that could only arrive inside it, is gone
+        for key in ("quad_nodes", "n_chains", "n_burn", "n_keep", "target_accept", "rhat_max", "ess_min"):
+            with pytest.raises(ConfigError, match="unknown config keys: \\['sampler'\\]"):
                 load_config(None, master_seed=1, sampler={key: 1})
         # so is the SP draw count of curve's histograms, which are exact now
         with pytest.raises(ConfigError, match="unknown config keys: \\['calibration_draws'\\]"):
@@ -425,7 +421,6 @@ class TestCli:
                     "n_replicates": 2,
                     "sample_sizes": [5, 10],
                     "bench_repeats": 1,
-                    "sampler": {"quad_nodes": 32},
                 }
             )
         )
@@ -583,7 +578,7 @@ class TestCli:
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"master_seed": 3, "sampler": {"ess_min": 1e9}}))
         assert main(["calibrate", "--config", str(p)]) == 2
-        assert "ess_min" in capsys.readouterr().err
+        assert "unknown config keys: ['sampler']" in capsys.readouterr().err
 
     def test_obfuscate(self, tmp_path, capsys):
         from privregion.trajectory import write_track

@@ -9,7 +9,7 @@ from scipy import stats
 from scipy.special import betaln, roots_jacobi
 
 from privregion import inference
-from privregion.core import BetaParams, GammaParams, Point, derive_rng, make_rng
+from privregion.core import BetaParams, GammaParams, Point, derive_rng, jacobi_rule, make_rng
 from privregion.experiments import TABLE1_SETTINGS
 from privregion.harmonic import harmonic_log_density
 from privregion.inference import (
@@ -1007,12 +1007,17 @@ class TestGaussRules:
             report = attack(o, ORIGIN, None)
             assert report.rule == "midpoint" and report.rule_gap == 0.0
 
-    @pytest.mark.parametrize("a, b", [(4.0, 4.0), (2.0, 0.3), (0.5, 0.5), (37.0, 1.5)])
+    # the polar rule's Beta priors, and the laws sp_cdf's panels weigh by:
+    # Beta(1, 1), Beta(1, b) and Beta(2a, 1)
+    @pytest.mark.parametrize(
+        "a, b",
+        [(4.0, 4.0), (2.0, 0.3), (0.5, 0.5), (37.0, 1.5), (1.0, 1.0), (1.0, 0.5), (1.0, 4.0), (8.0, 1.0), (14.0, 1.0)],
+    )
     def test_jacobi_rule_has_scipys_nodes(self, a, b):
         # built without scipy.linalg, the rule keeps roots_jacobi's nodes;
         # its weights agree to rounding of the smallest ones
-        for N in (1, 2, 16, 32, 64, 128):
-            u, w = inference._jacobi_rule(N, a, b)
+        for N in (1, 2, 16, 24, 32, 64, 128):
+            u, w = jacobi_rule(N, a, b)
             x, ws = roots_jacobi(N, b - 1.0, a - 1.0)
             assert np.allclose(u, 0.5 * (1.0 + x), rtol=0.0, atol=1e-15)
             assert np.allclose(w, ws / ws.sum(), rtol=1e-9, atol=0.0)
@@ -1021,7 +1026,7 @@ class TestGaussRules:
         # the N-node Gauss-Jacobi rule integrates u^k, k < 2N, against
         # Beta(a, b) exactly; the Gauss-Hermite rule x^k against N(0, 1)
         a, b = 2.0, 0.3
-        u, w = inference._jacobi_rule(8, a, b)
+        u, w = jacobi_rule(8, a, b)
         for k in range(16):
             exact = math.exp(betaln(a + k, b) - betaln(a, b))
             assert w @ u**k == pytest.approx(exact, rel=1e-13)

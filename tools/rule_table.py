@@ -31,7 +31,6 @@ from privregion import inference
 from privregion.core import BetaParams, Point, derive_rng
 from privregion.experiments import TABLE1_SETTINGS, setting_tag
 from privregion.inference import (
-    AttackConfig,
     CenterArc,
     UniqueCenter,
     attack,
@@ -93,15 +92,15 @@ def reference_mse(obs, theta):
     return float(((mean - theta) ** 2).sum() + var)
 
 
-def square_grid(z, c, r, R, a, b, cfg):
+def square_grid(z, c, r, R, a, b):
     """The two-balls attack before the polar rule: the midpoint grid on the
     support square, refined as the fallback still is."""
     square = (c[0] - r, c[0] + r, c[1] - r, c[1] + r)
-    gp, edge, grids, nodes = inference._integrate(inference._tb_target(z, c, r, R, a, b), square, cfg.quad_nodes, square)
+    gp, edge, grids, nodes = inference._integrate(inference._tb_target(z, c, r, R, a, b), square, inference.GRID_NODES, square)
     return gp, inference._Quadrature("midpoint", 0.0, edge, grids, nodes)
 
 
-def laplace_grid(obs, cfg):
+def laplace_grid(obs):
     """The random-radius attack before the Gauss-Hermite rule: a 64^2 grid
     on the Laplace fit's mode +- 8 sd, else the box."""
     g = obs.strategy.gamma
@@ -113,7 +112,7 @@ def laplace_grid(obs, cfg):
         if sd.max() <= inference.LAPLACE_SD_RATIO * inference._radius_sd(g.alpha, g.beta):
             lo, hi = mode - 8.0 * sd, mode + 8.0 * sd
             window = (lo[0], hi[0], lo[1], hi[1])
-            gp, edge, _, _ = inference._integrate(inference._rr_target(z, g.alpha, g.beta, window), window, cfg.quad_nodes)
+            gp, edge, _, _ = inference._integrate(inference._rr_target(z, g.alpha, g.beta, window), window, inference.GRID_NODES)
             if edge <= inference.EDGE_MASS_MAX:
                 return float(((gp.mean - ORIGIN.as_array()) ** 2).sum() + np.trace(gp.cov))
     return attack(obs, ORIGIN, None).posterior_mse
@@ -129,7 +128,6 @@ def timed(fn, calls):
 
 
 def two_balls_rows(settings, sizes, reps, calls, seed):
-    cfg = AttackConfig()
     theta = ORIGIN.as_array()
     print("| setting | n | rule (N) | gap | err new | err old | ms new | ms old |")
     print("|---|---|---|---|---|---|---|---|")
@@ -166,7 +164,6 @@ def two_balls_rows(settings, sizes, reps, calls, seed):
 
 
 def random_radius_rows(settings, sizes, reps, calls, seed):
-    cfg = AttackConfig()
     print("| matched to | n | rule (N) | gap | err new | err old | ms new | ms old |")
     print("|---|---|---|---|---|---|---|---|")
     for k, tb in enumerate(settings):
@@ -183,7 +180,7 @@ def random_radius_rows(settings, sizes, reps, calls, seed):
                 window = (mode[0] - half[0], mode[0] + half[0], mode[1] - half[1], mode[1] + half[1])
                 ref = grid_posterior(lambda p: rr_log_posterior(p, obs), window, n=256).mse_against(ORIGIN)[0]
                 new, dt = timed(lambda: attack(obs, ORIGIN, None), calls)
-                old, dt_old = timed(lambda: laplace_grid(obs, cfg), calls)
+                old, dt_old = timed(lambda: laplace_grid(obs), calls)
                 rules.add(f"{new.rule} ({new.nodes})")
                 gaps.append(new.rule_gap)
                 err_new.append(abs(new.posterior_mse - ref) / ref)
