@@ -89,14 +89,13 @@ def _parse_theta(text: str) -> Point:
         raise ConfigError(f"--theta must be 'x,y', got {text!r}") from e
 
 
-def _scenario(args, **extra):
+def _scenario(args):
     return load_config(
         args.config,
         master_seed=args.seed,
         out_dir=args.out,
         threads=args.threads,
         n_replicates=getattr(args, "replicates", None),
-        **extra,
     )
 
 

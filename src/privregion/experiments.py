@@ -72,6 +72,8 @@ _TASK_ATTACK = 4  # 3 is retired
 _TASK_OBFUSCATE = 5
 _TASK_BENCH = 6
 
+_BENCH_REPEATS = 3  # timed attacks per (strategy, n) in run_bench
+
 _STRAT_TB = 0
 _STRAT_RR = 1
 
@@ -89,11 +91,9 @@ class ScenarioConfig:
     master_seed: int
     out_dir: Path = Path("runs")
     settings: tuple[TwoBalls, ...] = TABLE1_SETTINGS
-    curve_setting_index: int = 0
     n_trajectories: int = 50
     n_replicates: int = 100
     sample_sizes: tuple[int, ...] = (5, 10, 20, 50, 100, 200)
-    bench_repeats: int = 3
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -106,16 +106,14 @@ class ScenarioConfig:
             raise ConfigError("need at least one two-balls setting")
         if not all(isinstance(s, TwoBalls) for s in self.settings):
             raise ConfigError("settings must all be TwoBalls specs")
-        if not 0 <= self.curve_setting_index < len(self.settings):
-            raise ConfigError(f"curve_setting_index {self.curve_setting_index} out of range")
         if self.n_trajectories < 1 or self.n_replicates < 1:
             raise ConfigError("n_trajectories and n_replicates must be >= 1")
         if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
             raise ConfigError("sample_sizes must be positive")
         if any(b <= a for a, b in zip(self.sample_sizes, self.sample_sizes[1:])):
             raise ConfigError(f"sample_sizes must be strictly increasing, got {self.sample_sizes}")
-        if self.bench_repeats < 1 or self.threads < 1:
-            raise ConfigError("bench_repeats and threads must be >= 1")
+        if self.threads < 1:
+            raise ConfigError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -351,25 +349,22 @@ def _quantile_above(tb: TwoBalls, q: float, lo: float) -> float:
 def run_curve(config: ScenarioConfig) -> StudyResult:
     """Posterior MSE vs number of trajectories, plus the exact SP laws.
 
-    Uses the setting at curve_setting_index and its calibrated counterpart;
+    Uses the first setting and its calibrated counterpart;
     emits curve_results.csv, curve_summary.csv, sp_hist.csv and two SVGs.
     sp_hist.csv holds each strategy's exact SP probability mass and density
     on 60 shared bins from 0 to the larger 0.995 quantile of the two laws;
     nothing is drawn for it, so it does not depend on master_seed.
     """
     out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    tb = config.settings[config.curve_setting_index]
-    cal = calibrate_random_radius(tb)
+    tb = config.settings[0]
+    calib_res = run_calibrate(replace(config, settings=(tb,)))
+    (cal,) = calib_res.calibrations
     specs = _strategy_pair(tb, cal)
     tag = setting_tag(tb)
 
-    cpath = out / "calibration.csv"
-    _write_csv(cpath, _CALIB_HEADER, _calibration_rows([tb], [cal]))
-
     plan = [(tag, n_idx, specs, n) for n_idx, n in enumerate(config.sample_sizes)]
     rows = _replicate_rows(config, _TASK_CURVE, plan)
-    files = {"calibration": cpath}
+    files = dict(calib_res.files)
     files.update(_write_results(out, "curve_results", rows))
 
     ns = list(config.sample_sizes)
@@ -462,18 +457,20 @@ def run_obfuscate(
 def run_bench(config: ScenarioConfig) -> BenchResult:
     """Attack wall time vs number of trajectories, with a linear fit.
 
-    Times only the attack itself (observation generation excluded); writes
-    bench.csv and bench_summary.csv. Repeats are averaged; the minimum is
-    also recorded since it is steadier on busy machines.
+    Uses the first setting and its calibrated counterpart, and times only
+    the attack itself (observation generation excluded), _BENCH_REPEATS
+    times per strategy and n; writes bench.csv and bench_summary.csv.
+    Repeats are averaged; the minimum is also recorded since it is steadier
+    on busy machines.
     """
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    tb = config.settings[config.curve_setting_index]
+    tb = config.settings[0]
     specs = _strategy_pair(tb, calibrate_random_radius(tb))
     plan = [(setting_tag(tb), n_idx, specs, n) for n_idx, n in enumerate(config.sample_sizes)]
     # one process, so that repeats do not compete for cores
     timed = _replicate_rows(
-        replace(config, n_replicates=config.bench_repeats, threads=1), _TASK_BENCH, plan
+        replace(config, n_replicates=_BENCH_REPEATS, threads=1), _TASK_BENCH, plan
     )
 
     rows = []
@@ -487,7 +484,7 @@ def run_bench(config: ScenarioConfig) -> BenchResult:
                 {
                     "strategy": name,
                     "n": n,
-                    "repeats": config.bench_repeats,
+                    "repeats": _BENCH_REPEATS,
                     "wall_mean": mean_w,
                     "wall_min": float(min(walls)),
                 }

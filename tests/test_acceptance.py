@@ -304,9 +304,7 @@ def test_c7_sampler_matches_grid_oracle():
 
 
 def test_c8_attack_runtime_and_scaling(tmp_path_factory):
-    cfg = ScenarioConfig(
-        master_seed=SEED, out_dir=tmp_path_factory.mktemp("bench"), bench_repeats=3
-    )
+    cfg = ScenarioConfig(master_seed=SEED, out_dir=tmp_path_factory.mktemp("bench"))
     res = run_bench(cfg)
     t50 = {r["strategy"]: r["wall_mean"] for r in res.rows if r["n"] == 50}
     ok_time = all(t <= 5.0 for t in t50.values())

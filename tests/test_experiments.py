@@ -34,7 +34,6 @@ def tiny_config(out_dir, **kw):
         n_trajectories=5,
         n_replicates=3,
         sample_sizes=(5, 10),
-        bench_repeats=1,
     )
     base.update(kw)
     return ScenarioConfig(**base)
@@ -73,10 +72,6 @@ class TestScenarioConfig:
             ScenarioConfig(master_seed=1, sample_sizes=(5, 5, 10))
         with pytest.raises(ConfigError):
             ScenarioConfig(master_seed=1, sample_sizes=(10, 5))
-
-    def test_curve_index_in_range(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig(master_seed=1, curve_setting_index=6)
 
     def test_settings_must_be_two_balls(self):
         with pytest.raises(ConfigError):
@@ -161,22 +156,32 @@ class TestRunTable1:
             assert s["mean_sp"] == cal.matched_gamma.alpha / cal.matched_gamma.beta
 
 
+# each runner with the files a seed determines, the per-replicate rows first
+_DETERMINED = {
+    run_table1: ("results", "summary", "calibration"),
+    run_curve: ("curve_results", "curve_summary", "calibration", "sp_hist", "mse_curve_svg", "sp_hist_svg"),
+}
+
+
 class TestDeterminism:
     def test_same_seed_same_bytes(self, tmp_path):
-        a = run_table1(tiny_config(tmp_path / "a"))
-        b = run_table1(tiny_config(tmp_path / "b"))
-        for key in ("results", "summary", "calibration"):
-            assert a.files[key].read_bytes() == b.files[key].read_bytes(), key
+        for runner, keys in _DETERMINED.items():
+            a = runner(tiny_config(tmp_path / runner.__name__ / "a"))
+            b = runner(tiny_config(tmp_path / runner.__name__ / "b"))
+            for key in keys:
+                assert a.files[key].read_bytes() == b.files[key].read_bytes(), (runner.__name__, key)
 
     def test_different_seed_different_results(self, tmp_path):
-        a = run_table1(tiny_config(tmp_path / "a"))
-        b = run_table1(tiny_config(tmp_path / "b", master_seed=12))
-        assert a.files["results"].read_bytes() != b.files["results"].read_bytes()
+        for runner, keys in _DETERMINED.items():
+            a = runner(tiny_config(tmp_path / runner.__name__ / "a"))
+            b = runner(tiny_config(tmp_path / runner.__name__ / "b", master_seed=12))
+            assert a.files[keys[0]].read_bytes() != b.files[keys[0]].read_bytes(), runner.__name__
 
     def test_threads_do_not_change_results(self, tmp_path):
-        a = run_table1(tiny_config(tmp_path / "a"))
-        b = run_table1(tiny_config(tmp_path / "b", threads=2))
-        assert a.files["results"].read_bytes() == b.files["results"].read_bytes()
+        for runner, keys in _DETERMINED.items():
+            a = runner(tiny_config(tmp_path / runner.__name__ / "a"))
+            b = runner(tiny_config(tmp_path / runner.__name__ / "b", threads=2))
+            assert a.files[keys[0]].read_bytes() == b.files[keys[0]].read_bytes(), runner.__name__
 
 
 class TestRunCurve:
@@ -381,9 +386,12 @@ class TestLoadConfig:
         for key in ("quad_nodes", "n_chains", "n_burn", "n_keep", "target_accept", "rhat_max", "ess_min"):
             with pytest.raises(ConfigError, match="unknown config keys: \\['sampler'\\]"):
                 load_config(None, master_seed=1, sampler={key: 1})
-        # so is the SP draw count of curve's histograms, which are exact now
-        with pytest.raises(ConfigError, match="unknown config keys: \\['calibration_draws'\\]"):
-            load_config(None, master_seed=1, calibration_draws=100_000)
+        # so is the SP draw count of curve's histograms, which are exact now,
+        # and two knobs with one value in use: curve and bench take the first
+        # setting, and bench times a fixed number of repeats
+        for key, value in (("calibration_draws", 100_000), ("curve_setting_index", 0), ("bench_repeats", 3)):
+            with pytest.raises(ConfigError, match=f"unknown config keys: \\['{key}'\\]"):
+                load_config(None, master_seed=1, **{key: value})
 
     def test_bad_json_reports_line(self, tmp_path):
         p = tmp_path / "c.json"
@@ -420,7 +428,6 @@ class TestCli:
                     "n_trajectories": 5,
                     "n_replicates": 2,
                     "sample_sizes": [5, 10],
-                    "bench_repeats": 1,
                 }
             )
         )

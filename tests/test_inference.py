@@ -803,6 +803,23 @@ class TestAttackTwoBalls:
         assert mse_gap < 1e-8
         assert mean_gap < 1e-8
 
+    def test_fallback_diagnostics_gates(self, monkeypatch):
+        # no polar rule is certified at RULE_RTOL = 0, so the attack takes
+        # the square grid, whose refined window leaves 2.8e-17 of the mass
+        # in its edge cells where it cuts the support square
+        rng = derive_rng(3, 0, 1600)
+        obs = generate_observations(ORIGIN, TABLE1_SETTINGS[0], 1600, rng)
+        monkeypatch.setattr(inference, "RULE_RTOL", 0.0)
+        assert attack(obs, ORIGIN, rng).rule == "midpoint"
+        monkeypatch.setattr(inference, "EDGE_MASS_MAX", 0.0)
+        with pytest.raises(DiagnosticsFailed, match="edge mass"):
+            attack(obs, ORIGIN, rng)
+        monkeypatch.undo()
+        monkeypatch.setattr(inference, "RULE_RTOL", 0.0)
+        monkeypatch.setattr(inference, "MIN_CELLS_PER_SD", 1e9)
+        with pytest.raises(DiagnosticsFailed, match="cells"):
+            attack(obs, ORIGIN, rng)
+
     def test_draws_stay_in_support(self, rng, monkeypatch):
         # every point at which the attack evaluates the two-balls target
         # lies in the open support disk: the polar rule's nodes sit at

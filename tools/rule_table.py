@@ -96,13 +96,13 @@ def square_grid(z, c, r, R, a, b):
     """The two-balls attack before the polar rule: the midpoint grid on the
     support square, refined as the fallback still is."""
     square = (c[0] - r, c[0] + r, c[1] - r, c[1] + r)
-    gp, edge, grids, nodes = inference._integrate(inference._tb_target(z, c, r, R, a, b), square, inference.GRID_NODES, square)
-    return gp, inference._Quadrature("midpoint", 0.0, edge, grids, nodes)
+    return inference._integrate(inference._tb_target(z, c, r, R, a, b), square, square)
 
 
 def laplace_grid(obs):
     """The random-radius attack before the Gauss-Hermite rule: a 64^2 grid
-    on the Laplace fit's mode +- 8 sd, else the box."""
+    on the Laplace fit's mode +- 8 sd, else (or when that grid fails its
+    checks) the box."""
     g = obs.strategy.gamma
     z = obs.positions
     fit = inference._rr_laplace(z, g.alpha, g.beta)
@@ -112,8 +112,11 @@ def laplace_grid(obs):
         if sd.max() <= inference.LAPLACE_SD_RATIO * inference._radius_sd(g.alpha, g.beta):
             lo, hi = mode - 8.0 * sd, mode + 8.0 * sd
             window = (lo[0], hi[0], lo[1], hi[1])
-            gp, edge, _, _ = inference._integrate(inference._rr_target(z, g.alpha, g.beta, window), window, inference.GRID_NODES)
-            if edge <= inference.EDGE_MASS_MAX:
+            try:
+                gp, _ = inference._integrate(inference._rr_target(z, g.alpha, g.beta, window), window)
+            except inference.DiagnosticsFailed:
+                pass
+            else:
                 return float(((gp.mean - ORIGIN.as_array()) ** 2).sum() + np.trace(gp.cov))
     return attack(obs, ORIGIN, None).posterior_mse
 
