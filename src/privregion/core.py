@@ -182,19 +182,19 @@ def sample_beta(params: BetaParams, rng: np.random.Generator, size=None):
     return rng.beta(params.alpha, params.beta, size=size)
 
 
-def _collinearity_spread(pts: np.ndarray) -> tuple[float, float]:
-    """Singular values (s1 >= s2) of the centered point cloud."""
-    centered = pts - pts.mean(axis=0)
-    s = np.linalg.svd(centered, compute_uv=False)
-    return float(s[0]), float(s[1])
-
-
 def fit_circle_center(points: np.ndarray, radius_known: float) -> tuple[Point, float]:
     """Best center for (n, 2) points known to lie on a circle of radius `radius_known`.
 
-    Algebraic (Kasa) least squares provides the starting center; a short
-    Gauss-Newton refinement then minimizes sum((|z_i - c| - R)^2) with the
-    radius held fixed. Returns (center, rms residual).
+    All of it is 2 x 2 algebra on sums over the points, with no LAPACK
+    call. The centered cloud's singular values s1 >= s2 are its spreads
+    along its principal axes, at angle atan2(2 Sxy, Sxx - Syy) / 2 from the
+    centered moments; projecting the points onto the axes keeps s2 accurate
+    where the moments would cancel, and s2 <= 1e-12 s1 raises
+    DegenerateConfiguration. Algebraic (Kasa) least squares,
+    2 x cx + 2 y cy + c0 = x^2 + y^2, is diagonal in those axes and gives
+    the starting center; Gauss-Newton steps, each a 2 x 2 normal-equation
+    solve, then minimize sum((|z_i - c| - R)^2) with the radius held fixed.
+    Returns (center, rms residual).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -204,28 +204,39 @@ def fit_circle_center(points: np.ndarray, radius_known: float) -> tuple[Point, f
         raise ValueError(f"need at least 3 points, got {n}")
     if not (math.isfinite(radius_known) and radius_known > 0):
         raise ValueError(f"radius must be finite and > 0, got {radius_known}")
-    s1, s2 = _collinearity_spread(pts)
+    x, y = pts.T.copy()
+    mx, my = float(x.sum()) / n, float(y.sum()) / n
+    xs, ys = x - mx, y - my
+    phi = 0.5 * math.atan2(2.0 * float(xs @ ys), float(xs @ xs) - float(ys @ ys))
+    cos, sin = math.cos(phi), math.sin(phi)
+    major = cos * xs + sin * ys
+    minor = cos * ys - sin * xs
+    s1, s2 = math.sqrt(float(major @ major)), math.sqrt(float(minor @ minor))
     if s1 == 0.0 or s2 <= 1e-12 * s1:
         raise DegenerateConfiguration("points are collinear within tolerance")
 
-    # Kasa: 2 x cx + 2 y cy + c0 = x^2 + y^2, linear in (cx, cy, c0).
-    design = np.column_stack([2.0 * pts[:, 0], 2.0 * pts[:, 1], np.ones(n)])
-    rhs = (pts**2).sum(axis=1)
-    sol, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    center = sol[:2]
+    # Kasa in the principal axes, where its normal matrix is diag(s1^2, s2^2)
+    q = xs * xs + ys * ys
+    a, b = float(major @ q) / (2.0 * s1 * s1), float(minor @ q) / (2.0 * s2 * s2)
+    cx, cy = mx + cos * a - sin * b, my + sin * a + cos * b
 
     for _ in range(50):
-        diff = pts - center
-        dist = np.hypot(diff[:, 0], diff[:, 1])
-        dist = np.maximum(dist, 1e-300)
+        dx, dy = x - cx, y - cy
+        dist = np.maximum(np.hypot(dx, dy), 1e-300)
         resid = dist - radius_known
-        jac = -diff / dist[:, None]
-        step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
-        center = center + step
-        if float(np.hypot(*step)) <= 1e-14 * radius_known:
+        dx /= dist
+        dy /= dist
+        # unit vectors e_i = -J_i: solve (sum e e^T) step = sum e_i resid_i
+        axx, ayy, axy = float(dx @ dx), float(dy @ dy), float(dx @ dy)
+        gx, gy = float(dx @ resid), float(dy @ resid)
+        det = axx * ayy - axy * axy
+        if not det > 0.0:
+            break
+        sx, sy = (ayy * gx - axy * gy) / det, (axx * gy - axy * gx) / det
+        cx, cy = cx + sx, cy + sy
+        if math.hypot(sx, sy) <= 1e-14 * radius_known:
             break
 
-    diff = pts - center
-    resid = np.hypot(diff[:, 0], diff[:, 1]) - radius_known
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return Point(center[0], center[1]), rms
+    resid = np.hypot(x - cx, y - cy) - radius_known
+    rms = math.sqrt(float(resid @ resid) / n)
+    return Point(cx, cy), rms

@@ -23,9 +23,10 @@ the two-balls polar rule those terms are one matrix product. The rest of
 the random-radius likelihood, sum_i |z_i - theta|^2, is a quadratic in
 theta.
 
-Every attack integrates its posterior with a deterministic quadrature
-rule, checked against the rule of half its size (`_rule_gap`, reported as
-`AttackReport.rule_gap`):
+A single exit has a closed-form posterior mean and variance for every
+strategy (`attack`). On two or more exits every attack integrates its
+posterior with a deterministic quadrature rule, checked against the rule
+of half its size (`_rule_gap`, reported as `AttackReport.rule_gap`):
 
 * two-balls: a polar product rule on the support disk B(c, r),
   Gauss-Jacobi nodes in u = |theta - c|^2/r^2 that carry the Beta
@@ -65,7 +66,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import betaln, gammainccinv, gammaln
 
 from .core import Point, as_xy, fit_circle_center, jacobi_rule
-from .strategies import ExitObservationSet, FixedRadius, RandomRadius, TwoBalls
+from .strategies import ExitObservationSet, FixedRadius, RandomRadius, TwoBalls, sp_mean
 
 __all__ = [
     "NonFiniteInit",
@@ -261,8 +262,9 @@ class AttackReport:
     Gauss-Jacobi in u times equispaced angles on the support disk),
     "hermite" (random-radius, Gauss-Hermite about the Laplace fit),
     "midpoint" (a grid: the random-radius box, or a two-balls posterior too
-    concentrated for the disk rule) or "none" (fixed-radius recovery is
-    exact); a two-balls pair of candidate centers joins its two with "+".
+    concentrated for the disk rule) or "none" (exact: fixed-radius recovery,
+    and one exit under any strategy); a two-balls pair of candidate centers
+    joins its two with "+".
     rule_gap is the gap of the accepted Gauss rule to its half-size rule
     (`_rule_gap`). A midpoint grid reports 0, meaning "not measured", not
     "exact": the two-balls fallback grid has missed a posterior's MSE by
@@ -376,6 +378,33 @@ def _fourier_rows(K: int, n: int) -> np.ndarray:
     return rows
 
 
+def _power_rows(v: np.ndarray, rows: int) -> np.ndarray:
+    """(rows, len(v)) array of v^0, ..., v^(rows - 1). Rows m to 2m - 1 are
+    rows 0 to m - 1 times v^m, so it takes about log2(rows) array products
+    in place of one per row."""
+    out = np.empty((rows, len(v)), dtype=complex)
+    out[0] = 1.0
+    m = 1
+    while m < rows:
+        step = min(m, rows - m)
+        np.multiply(out[:step], out[m - 1] * v, out=out[m : m + step])
+        m += step
+    return out
+
+
+def _power_sums(v: np.ndarray, K: int) -> np.ndarray:
+    """S_k = sum_i v_i^k / k for k = aJ + b + 1 at entry (a, b) of a
+    (ceil(K/J), J) table, J = ceil(sqrt(K)): one complex matrix product of
+    the powers v^(aJ + 1) by the powers v^b. Its first K entries in row
+    order are S_1, ..., S_K; the few past them are further terms."""
+    J = math.isqrt(K - 1) + 1
+    low = _power_rows(v, J)
+    high = _power_rows(low[-1] * v, -(-K // J))
+    high *= v
+    table = high @ low.T
+    return table / np.arange(1, table.size + 1).reshape(table.shape)
+
+
 def _sep_expansion(z: np.ndarray, m: np.ndarray, rho: float):
     """sep(pts) = sum_i log|z_i - theta|^2 for theta in the disk
     |theta - m| <= rho.
@@ -385,22 +414,31 @@ def _sep_expansion(z: np.ndarray, m: np.ndarray, rho: float):
     expansion of the 2-D log potential about m (Greengard and Rokhlin,
     1987), which two-balls knows as the Poisson kernel's Fourier series
     about its center. Far exits (`_series_terms`) go through it: with s the
-    smallest far |u_i|, the coefficients S_k = sum_i (s/u_i)^k are computed
-    once and each theta costs K terms whatever the exit count; the
+    smallest far |u_i|, the coefficients S_k = sum_i (s/u_i)^k / k are
+    computed once and each theta costs K terms whatever the exit count; the
     truncation error, below n x^(K+1) / (1 - x), is under float rounding.
     Near exits go through the direct sum, their squared distances clamped
     at SQ_DIST_FLOOR, and so does every exit for a point outside the disk,
     where the series is not built to hold.
 
+    Neither the coefficients nor the series take a Python loop over the K
+    terms. Both split k = aJ + b + 1 into baby steps b < J = ceil(sqrt(K))
+    and giant steps a (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973),
+    each a table of powers (`_power_rows`): the coefficients are one
+    complex matrix product over the exits (`_power_sums`), and the series
+    at a point is sum_a (w/s)^(aJ + 1) sum_b S_(aJ+b+1) (w/s)^b, the inner
+    sums again one matrix product, taking the last row's few terms past K.
+
     sep takes any number of points: its direct sums run over blocks of at
-    most PAIR_BUDGET (point, exit) pairs, and the series holds O(1) values
-    per point, so its memory does not grow with the exit count.
+    most PAIR_BUDGET (point, exit) pairs, its series over blocks of at most
+    PAIR_BUDGET (point, power) pairs, so its memory does not grow with the
+    exit count.
 
     sep.polar(radii, n_angles) evaluates sep on the polar grid
     m + radii_j (cos phi_l, sin phi_l), phi_l = 2 pi l / n_angles, radii at
     most rho, as a (radii, angles) array. There the far exits' series is
     one real matrix product, [Re, Im](S_k (rho_j/s)^k) @ [cos k phi; -sin k phi]
-    (`_fourier_rows`), in place of K complex Horner steps at every point.
+    (`_fourier_rows`).
     """
     mx, my = float(m[0]), float(m[1])
 
@@ -430,12 +468,21 @@ def _sep_expansion(z: np.ndarray, m: np.ndarray, rho: float):
     if K:
         const = float(np.log(d2[far]).sum())
         scale = math.sqrt(float(d2[far].min()))
-        v = scale / (ux[far] + 1j * uy[far])
-        coef = np.empty(K, dtype=complex)
-        power = np.ones_like(v)
-        for k in range(K):
-            power *= v
-            coef[k] = power.sum() / (k + 1)
+        table = _power_sums(scale / (ux[far] + 1j * uy[far]), K)
+        giant, J = table.shape
+        coef = table.ravel()[:K]
+
+    def series(w: np.ndarray) -> np.ndarray:
+        """Re sum_k S_k w^k for w = (theta - m)/s."""
+        out = np.empty(len(w))
+        block = max(1, PAIR_BUDGET // J)
+        for lo in range(0, len(w), block):
+            wb = w[lo : lo + block]
+            low = _power_rows(wb, J)
+            inner = table @ low
+            inner *= _power_rows(low[-1] * wb, giant)
+            out[lo : lo + block] = (inner.sum(axis=0) * wb).real
+        return out
 
     def sep(pts: np.ndarray) -> np.ndarray:
         if not K:
@@ -450,12 +497,7 @@ def _sep_expansion(z: np.ndarray, m: np.ndarray, rho: float):
             out[~inside] = direct(pts[~inside], z)
             out[inside] = sep(pts[inside])
             return out
-        w = (wx + 1j * wy) / scale
-        acc = np.full(len(w), coef[-1])
-        for a in coef[-2::-1]:
-            acc *= w
-            acc += a
-        total = const - 2.0 * (acc * w).real
+        total = const - 2.0 * series((wx + 1j * wy) / scale)
         if len(near):
             total += direct(pts, near)
         return total
@@ -762,7 +804,7 @@ class GridPosterior:
     def mse_against(self, theta_true) -> tuple[float, float, float]:
         t = as_xy(theta_true)
         bias2 = float(((self.mean - t) ** 2).sum())
-        variance = float(np.trace(self.cov))
+        variance = _trace(self.cov)
         return bias2 + variance, bias2, variance
 
     def edge_mass(self, sides=(True, True, True, True)) -> float:
@@ -906,6 +948,9 @@ def quadrature_window(obs: ExitObservationSet, center: Point | None = None):
     return _reach_box(obs.positions, math.sqrt(float(gammainccinv(a, RR_TAIL)) / b))
 
 
+def _trace(cov: np.ndarray) -> float:
+    """Total variance of a 2 x 2 covariance, as np.trace sums it."""
+    return float(cov[0, 0] + cov[1, 1])
 
 
 class _Moments(NamedTuple):
@@ -931,12 +976,12 @@ def _rule_gap(fine: _Moments, coarse: _Moments) -> float:
     changes in mass and in total variance and the change of the mean in
     posterior sd. The MSE against any theta moves by at most twice that,
     relative."""
-    var = float(np.trace(fine.cov))
+    var = _trace(fine.cov)
     if not var > 0.0:
         return math.inf
     return max(
         abs(math.expm1(min(coarse.log_mass - fine.log_mass, 1.0))),
-        abs(float(np.trace(coarse.cov)) - var) / var,
+        abs(_trace(coarse.cov) - var) / var,
         math.hypot(*(fine.mean - coarse.mean)) / math.sqrt(var),
     )
 
@@ -961,6 +1006,18 @@ def _hermite_rule(N: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@functools.lru_cache(maxsize=256)
+def _polar_nodes(N: int, r: float, R: float, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The N-node polar rule's radii r sqrt(u) on B(c, r), with
+    log(R^2 - r^2 u), the log of each exit density's numerator, and the log
+    Gauss-Jacobi weights of Beta(alpha, beta)."""
+    u, wu = jacobi_rule(N, alpha, beta)
+    out = (r * np.sqrt(u), np.log(R * R - r * r * u), np.log(wu))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def _polar_rule(sep, n: int, c: np.ndarray, r: float, R: float, alpha: float, beta: float, N: int) -> _Moments:
     """Two-balls posterior moments on B(c, r) by the N-node polar rule.
 
@@ -973,9 +1030,8 @@ def _polar_rule(sep, n: int, c: np.ndarray, r: float, R: float, alpha: float, be
     `sep` evaluates on the polar grid. The mass is on the scale of the
     grids' (the log target's integral), so rules mix across centers.
     """
-    u, wu = jacobi_rule(N, alpha, beta)
-    radii = r * np.sqrt(u)
-    logw = (n * np.log(R * R - r * r * u) + np.log(wu))[:, None] - sep.polar(radii, 2 * N)
+    radii, log_room, log_wu = _polar_nodes(N, r, R, alpha, beta)
+    logw = (n * log_room + log_wu)[:, None] - sep.polar(radii, 2 * N)
     peak = float(logw.max())
     # per radius, the weights' sums against 1, cos, sin, cos^2, sin^2, cos sin
     sums = np.exp(logw - peak) @ _angle_moments(2 * N)
@@ -1004,7 +1060,7 @@ def _tb_disk(z: np.ndarray, c: np.ndarray, r: float, R: float, alpha: float, bet
     coarse = _polar_rule(sep, len(z), c, r, R, alpha, beta, N // 2)
     fine = _polar_rule(sep, len(z), c, r, R, alpha, beta, N)
     grids = 2
-    sd = math.sqrt(float(np.trace(fine.cov)))
+    sd = math.sqrt(_trace(fine.cov))
     too_narrow = POLAR_NODES_PER_SD * (math.hypot(*(fine.mean - c)) + sd) > POLAR_CAP * sd
     while True:
         gap = _rule_gap(fine, coarse)
@@ -1020,37 +1076,59 @@ def _tb_disk(z: np.ndarray, c: np.ndarray, r: float, R: float, alpha: float, bet
     return gp, quad._replace(grids=grids + quad.grids)
 
 
-def _hermite_moments(target, mode: np.ndarray, chol: np.ndarray, N: int) -> _Moments:
-    """Posterior moments by the N x N Gauss-Hermite rule in the whitened
-    coordinates theta = mode + chol xi: it integrates
-    p(theta) = |chol| p(mode + chol xi) against the standard normal law of
-    xi once divided by that law's density, 2 pi |chol| exp(|xi|^2 / 2) p."""
-    x, w = _hermite_rule(N)
-    xi = np.column_stack([np.repeat(x, N), np.tile(x, N)])
+@functools.lru_cache(maxsize=None)
+def _hermite_nodes(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The N/2 x N/2 and the N x N Gauss-Hermite product rules, stacked:
+    nodes xi, (N^2 / 4 + N^2, 2), with the N/2 rule's first; the terms
+    |xi|^2 / 2 and log w_i w_j of each node's whitened log weight; and the
+    row where the N rule starts."""
+    xis, halves, logws = [], [], []
+    for size in (N // 2, N):
+        x, w = _hermite_rule(size)
+        xi = np.column_stack([np.repeat(x, size), np.tile(x, size)])
+        xis.append(xi)
+        halves.append(0.5 * (xi * xi).sum(axis=1))
+        logws.append(np.log(np.outer(w, w)).ravel())
+    out = tuple(np.concatenate(parts) for parts in (xis, halves, logws))
+    for arr in out:
+        arr.setflags(write=False)
+    return (*out, (N // 2) ** 2)
+
+
+def _hermite_rules(target, mode: np.ndarray, chol: np.ndarray) -> tuple[_Moments, _Moments]:
+    """Posterior moments by the HERMITE_NODES / 2 and the HERMITE_NODES
+    Gauss-Hermite product rules in the whitened coordinates
+    theta = mode + chol xi: each integrates p(theta) = |chol| p(mode + chol xi)
+    against the standard normal law of xi once divided by that law's
+    density, 2 pi |chol| exp(|xi|^2 / 2) p. The target is pointwise, so one
+    call on both rules' nodes gives each rule's moments bit for bit as a
+    call of its own would."""
+    xi, half, logw_rule, split = _hermite_nodes(HERMITE_NODES)
     pts = mode + xi @ chol.T
-    logw = target(pts) + 0.5 * (xi * xi).sum(axis=1) + np.log(np.outer(w, w)).ravel()
-    peak = float(logw.max())
-    wts = np.exp(logw - peak)
-    total = float(wts.sum())
-    mean = wts @ pts / total
-    d = pts - mean
-    log_mass = peak + math.log(total) + math.log(2.0 * math.pi * chol[0, 0] * chol[1, 1])
-    return _Moments(log_mass, mean, (d.T * wts) @ d / total)
+    logw = target(pts) + half + logw_rule
+    log_jac = math.log(2.0 * math.pi * chol[0, 0] * chol[1, 1])
+    rules = []
+    for part in (slice(0, split), slice(split, None)):
+        p, lw = pts[part], logw[part]
+        peak = float(lw.max())
+        wts = np.exp(lw - peak)
+        total = float(wts.sum())
+        mean = wts @ p / total
+        d = p - mean
+        rules.append(_Moments(peak + math.log(total) + log_jac, mean, (d.T * wts) @ d / total))
+    return tuple(rules)
 
 
 def _attack_fixed(obs: ExitObservationSet):
     # theta is the center of a radius-r_star circle through every exit.
     # Two exits leave the two candidates that mirror each other across the
-    # line z1z2, equally likely; one exit leaves theta uniform on the circle
-    # of radius r_star around it.
+    # line z1z2, equally likely.
     est = recover_center(obs.positions, obs.strategy.r_star)
     exact = _Quadrature("none", 0.0, 0.0, 0, 0)
     if isinstance(est, UniqueCenter):
         return est.center.as_array(), 0.0, exact
-    if isinstance(est, CenterPair):
-        plus, minus = est.plus.as_array(), est.minus.as_array()
-        return 0.5 * (plus + minus), float(((plus - minus) ** 2).sum()) / 4.0, exact
-    return est.base.as_array(), est.radius**2, exact
+    plus, minus = est.plus.as_array(), est.minus.as_array()
+    return 0.5 * (plus + minus), float(((plus - minus) ** 2).sum()) / 4.0, exact
 
 
 def _radius_sd(alpha: float, beta: float) -> float:
@@ -1064,32 +1142,41 @@ def _rr_laplace(z: np.ndarray, alpha: float, beta: float):
     posterior, or None when Newton's method from the exit centroid does not
     reach a strict local maximum.
 
-    Steps are capped at the RMS region radius; the log-likelihood
-    sum_i (alpha - 1) log s_i - beta s_i, s_i = |theta - z_i|^2, has
-    gradient 2 sum_i g_i d_i and Hessian sum_i 2 g_i I - 4 (alpha - 1)
-    d_i d_i^T / s_i^2, with d_i = theta - z_i and g_i = (alpha - 1)/s_i - beta.
-    The 2 x 2 Hessian's largest eigenvalue, solve and inverse are in
-    closed form.
+    Steps are capped at the RMS region radius. In complex numbers, with
+    d_i = theta - z_i and s_i = |d_i|^2, the log-likelihood
+    sum_i (alpha - 1) log s_i - beta s_i has gradient
+    2 sum_i ((alpha - 1)/s_i - beta) d_i and Hessian
+    -2 n beta I - 2 (alpha - 1) [[Re D, Im D], [Im D, -Re D]] with
+    D = sum_i d_i^2 / s_i^2, since d d^T = (s I + [[Re d^2, Im d^2],
+    [Im d^2, -Re d^2]]) / 2 (wherever no s_i is clamped at SQ_DIST_FLOOR).
+    So a step takes two sums over the exits, and the 2 x 2 Hessian's
+    largest eigenvalue, solve and inverse are in closed form.
     """
+    n = len(z)
     mid = z.mean(axis=0)
-    zc = z - mid
+    zc = (z[:, 0] - mid[0]) + 1j * (z[:, 1] - mid[1])
     scale = math.sqrt(alpha / beta)
-    t = np.zeros(2)
+    t = 0j
     for _ in range(50):
         d = t - zc
-        s = np.maximum((d * d).sum(axis=1), SQ_DIST_FLOOR)
-        g = (alpha - 1.0) / s - beta
-        gx, gy = 2.0 * (g @ d)
-        q = 4.0 * (alpha - 1.0) * (d.T / s**2) @ d
-        hxx, hyy, hxy = 2.0 * g.sum() - q[0, 0], 2.0 * g.sum() - q[1, 1], -q[0, 1]
+        s = d.real * d.real
+        s += d.imag * d.imag
+        np.maximum(s, SQ_DIST_FLOOR, out=s)
+        ds = d / s
+        grad = 2.0 * ((alpha - 1.0) * complex(ds.sum()) - beta * complex(d.sum()))
+        D = complex(ds @ ds)
+        hxx = -2.0 * n * beta - 2.0 * (alpha - 1.0) * D.real
+        hyy = -2.0 * n * beta + 2.0 * (alpha - 1.0) * D.real
+        hxy = -2.0 * (alpha - 1.0) * D.imag
         if 0.5 * (hxx + hyy) + math.hypot(0.5 * (hxx - hyy), hxy) >= 0.0:
             return None
         det = hxx * hyy - hxy * hxy
-        step = np.array([hxy * gy - hyy * gx, hxy * gx - hxx * gy]) / det
-        size = math.hypot(*step)
+        gx, gy = grad.real, grad.imag
+        step = complex(hxy * gy - hyy * gx, hxy * gx - hxx * gy) / det
+        size = abs(step)
         if size <= 1e-10 * scale:
-            return mid + t, np.array([[-hyy, hxy], [hxy, -hxx]]) / det
-        t = t + step * min(1.0, scale / size)
+            return mid + np.array([t.real, t.imag]), np.array([[-hyy, hxy], [hxy, -hxx]]) / det
+        t += step * min(1.0, scale / size)
     return None
 
 
@@ -1107,19 +1194,17 @@ def _attack_rr(obs: ExitObservationSet):
             # room for rounding at its corners
             half = 1.001 * float(_hermite_rule(HERMITE_NODES)[0].max()) * np.abs(chol).sum(axis=1)
             window = (mode[0] - half[0], mode[0] + half[0], mode[1] - half[1], mode[1] + half[1])
-            target = _rr_target(z, a, b, window)
-            coarse = _hermite_moments(target, mode, chol, HERMITE_NODES // 2)
-            fine = _hermite_moments(target, mode, chol, HERMITE_NODES)
+            coarse, fine = _hermite_rules(_rr_target(z, a, b, window), mode, chol)
             grids = 2
             gap = _rule_gap(fine, coarse)
             if gap <= RULE_RTOL:
                 quad = _Quadrature("hermite", gap, 0.0, grids, HERMITE_NODES)
-                return fine.mean, float(np.trace(fine.cov)), quad
+                return fine.mean, _trace(fine.cov), quad
     # Small n, or a posterior the Laplace fit does not describe: integrate
     # over every place the exits allow.
     box = quadrature_window(obs)
     gp, quad = _integrate(_rr_target(z, a, b, box), box)
-    return gp.mean, float(np.trace(gp.cov)), quad._replace(grids=grids + quad.grids)
+    return gp.mean, _trace(gp.cov), quad._replace(grids=grids + quad.grids)
 
 
 def _attack_tb(obs: ExitObservationSet):
@@ -1127,23 +1212,13 @@ def _attack_tb(obs: ExitObservationSet):
     z = obs.positions
     r, R, a, b = spec.r, spec.R, spec.beta.alpha, spec.beta.beta
     est = recover_center(z, R)
+    if isinstance(est, UniqueCenter):
+        post, quad = _tb_disk(z, est.center.as_array(), r, R, a, b)
+        return post.mean, _trace(post.cov), quad
 
-    if isinstance(est, CenterArc):
-        # One exit: the center sits at c(psi) = z1 + R (cos psi, sin psi)
-        # for an unknown psi. In the offset q = rot(-psi) (theta - c(psi)),
-        # a change of variables with unit Jacobian, the posterior density
-        # depends on q alone (through |q| and |R + q|, the exit sitting at
-        # (-R, 0) from the center), so psi is uniform and independent of q.
-        # Then theta = z1 + rot(psi) ((R, 0) + q) has mean z1 and
-        # E|theta - z1|^2 = E|(R, 0) + q|^2: one integral over q in B(0, r).
-        post, quad = _tb_disk(np.array([[-R, 0.0]]), np.zeros(2), r, R, a, b)
-        variance = float((post.mean[0] + R) ** 2 + post.mean[1] ** 2 + np.trace(post.cov))
-        return z[0], variance, quad
-
-    # One center (n >= 3), or a pair of candidates (n = 2) whose posterior
-    # modes mix by their masses, by the law of total variance.
-    centers = (est.center,) if isinstance(est, UniqueCenter) else (est.plus, est.minus)
-    parts = [_tb_disk(z, cpt.as_array(), r, R, a, b) for cpt in centers]
+    # A pair of candidate centers (n = 2): the two posteriors mix by their
+    # masses, by the law of total variance.
+    parts = [_tb_disk(z, cpt.as_array(), r, R, a, b) for cpt in (est.plus, est.minus)]
     quads = [q for _, q in parts]
     quad = _Quadrature(
         "+".join(dict.fromkeys(q.rule for q in quads)),
@@ -1158,7 +1233,7 @@ def _attack_tb(obs: ExitObservationSet):
     wts /= wts.sum()
     mean = sum(w * g.mean for w, g in zip(wts, posts))
     variance = float(
-        sum(w * (np.trace(g.cov) + ((g.mean - mean) ** 2).sum()) for w, g in zip(wts, posts))
+        sum(w * (_trace(g.cov) + ((g.mean - mean) ** 2).sum()) for w, g in zip(wts, posts))
     )
     return mean, variance, quad
 
@@ -1171,17 +1246,22 @@ def attack(
 ) -> AttackReport:
     """Run the strategy-appropriate attack and score it against the truth.
 
+    One exit, any strategy: closed form, with rule "none". Nothing locates
+    the region but the exit itself, so the attacker's prior on theta is
+    flat and theta - z1 given z1 has the law of theta - z1 given theta: the
+    posterior mean is the exit z1 and the posterior variance is the
+    strategy's mean SP (`strategies.sp_mean`), r_star^2 for fixed-radius,
+    alpha/beta for random-radius and R^2 - r^2 a/(a + b) for two-balls.
     Fixed-radius: the circle center through the exits, exact for n >= 3;
-    the midpoint of the two candidates for n = 2 and the exit itself for
-    n = 1, with the closed-form variance of those candidates.
+    the midpoint of the two candidates for n = 2, with the closed-form
+    variance of those candidates.
     Random-radius: the Gauss-Hermite rule about the Laplace fit when the
     Gamma shape exceeds 1 and the posterior is narrow, else (or when the
     rule is not certified) the midpoint grid on the box the exits allow.
     Two-balls: center recovery first, then the polar rule on the support
-    disk around the center (n >= 3), a mixture over the two candidate
-    centers (n = 2), or one disk of offsets from the unknown center (n = 1);
-    a posterior too concentrated for the disk rule takes the midpoint grid
-    on the support square.
+    disk around the center (n >= 3), or a mixture over the two candidate
+    centers (n = 2); a posterior too concentrated for the disk rule takes
+    the midpoint grid on the support square.
 
     Each strategy's attack returns only the posterior, its mean and total
     variance, and how it was integrated. It is scored here, once, as
@@ -1193,7 +1273,9 @@ def attack(
     """
     t0 = time.perf_counter()
     spec = obs.strategy
-    if isinstance(spec, FixedRadius):
+    if len(obs) == 1:
+        post = obs.positions[0], sp_mean(spec), _Quadrature("none", 0.0, 0.0, 0, 0)
+    elif isinstance(spec, FixedRadius):
         post = _attack_fixed(obs)
     elif isinstance(spec, RandomRadius):
         post = _attack_rr(obs)

@@ -38,6 +38,7 @@ __all__ = [
     "generate_observations",
     "sample_sps",
     "sp_cdf",
+    "sp_mean",
     "calibrate_random_radius",
     "obfuscate_track",
 ]
@@ -370,6 +371,20 @@ def sp_cdf(spec: StrategySpec, s) -> np.ndarray:
     raise TypeError(f"unknown strategy spec {spec!r}")
 
 
+def sp_mean(spec: StrategySpec) -> float:
+    """E[SP] for one published track under `spec`: r_star^2, alpha/beta, or
+    R^2 - r^2 a/(a + b) for two-balls, summed as (R - r)(R + r) + r^2 b/(a + b)
+    so that nothing cancels."""
+    if isinstance(spec, FixedRadius):
+        return spec.r_star**2
+    if isinstance(spec, RandomRadius):
+        return spec.gamma.mean
+    if isinstance(spec, TwoBalls):
+        r, big_r, a, b = spec.r, spec.R, spec.beta.alpha, spec.beta.beta
+        return (big_r - r) * (big_r + r) + r * r * (b / (a + b))
+    raise TypeError(f"unknown strategy spec {spec!r}")
+
+
 def calibrate_random_radius(spec_tb: TwoBalls) -> CalibrationResult:
     """Gamma parameters matching the exact first two SP moments of `spec_tb`.
 
@@ -377,7 +392,7 @@ def calibrate_random_radius(spec_tb: TwoBalls) -> CalibrationResult:
     a center at distance d from theta, E[SP | d] = R^2 - d^2 and
     E[SP^2 | d] = R^4 - d^4. With d^2 = r^2 u, u ~ Beta(a, b) of mean mu and
     variance s2, the mean is m = R^2 - r^2 mu and the variance is
-    v = r^2 (2 mu m - r^2 s2). m is computed as a sum of positive terms,
+    v = r^2 (2 mu m - r^2 s2). m is a sum of positive terms (`sp_mean`),
     and 2 mu m exceeds r^2 s2 more than twice over, so neither cancels;
     E[SP^2] - m^2 would lose every digit of v as r/R -> 0. Under
     random-radius SP ~ Gamma(alpha, beta) exactly, so matching moments
@@ -385,10 +400,10 @@ def calibrate_random_radius(spec_tb: TwoBalls) -> CalibrationResult:
     """
     if not isinstance(spec_tb, TwoBalls):
         raise TypeError(f"calibration starts from a two-balls spec, got {spec_tb!r}")
-    r, big_r, a, b = spec_tb.r, spec_tb.R, spec_tb.beta.alpha, spec_tb.beta.beta
+    r, a, b = spec_tb.r, spec_tb.beta.alpha, spec_tb.beta.beta
     mu = a / (a + b)
     s2 = mu * b / ((a + b) * (a + b + 1.0))
-    m = (big_r - r) * (big_r + r) + r * r * (b / (a + b))  # R^2 - r^2 mu
+    m = sp_mean(spec_tb)
     v = r * r * (2.0 * mu * m - r * r * s2)
     if v <= 0.0:
         raise DegenerateVariance(f"SP variance {v} is not positive")

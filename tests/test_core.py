@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -19,6 +19,7 @@ from privregion.core import (
     sample_beta,
     sample_gamma,
 )
+from privregion.strategies import TwoBalls, generate_observations
 
 coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -118,6 +119,70 @@ class TestFitCircleCenter:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_circle_center(np.array([[0.0, 0.0], [1.0, 0.0]]), radius_known=1.0)
+
+
+def reference_fit_circle_center(points, radius_known):
+    """fit_circle_center as numpy.linalg computed it: an SVD for the
+    collinearity test, then Kasa's fit and each Gauss-Newton step by lstsq."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+    if s[0] == 0.0 or s[1] <= 1e-12 * s[0]:
+        raise DegenerateConfiguration("points are collinear within tolerance")
+    design = np.column_stack([2.0 * pts[:, 0], 2.0 * pts[:, 1], np.ones(n)])
+    sol, *_ = np.linalg.lstsq(design, (pts**2).sum(axis=1), rcond=None)
+    center = sol[:2]
+    for _ in range(50):
+        diff = pts - center
+        dist = np.maximum(np.hypot(diff[:, 0], diff[:, 1]), 1e-300)
+        step, *_ = np.linalg.lstsq(-diff / dist[:, None], radius_known - dist, rcond=None)
+        center = center + step
+        if float(np.hypot(*step)) <= 1e-14 * radius_known:
+            break
+    resid = np.hypot(*(pts - center).T) - radius_known
+    return Point(center[0], center[1]), float(np.sqrt(np.mean(resid**2)))
+
+
+class TestFitAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(3, 400),
+        st.floats(0.01, 100.0),
+        st.floats(0.05, 0.95),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_svd_and_lstsq(self, n, radius, ratio, seed):
+        # exits of a two-balls region around a random home: spread along
+        # the circle, as the attack sees them
+        rng = make_rng(seed)
+        theta = Point(*rng.uniform(-1e3, 1e3, 2))
+        spec = TwoBalls(ratio * radius, radius, BetaParams(4.0, 4.0))
+        pts = generate_observations(theta, spec, n, rng).positions
+        center, rms = fit_circle_center(pts, radius)
+        want, want_rms = reference_fit_circle_center(pts, radius)
+        assert center.distance_to(want) <= 1e-12 * radius
+        # the residuals are the rounding of the exits' coordinates
+        assert max(rms, want_rms) <= 1e-12 * (radius + float(np.abs(pts).max()))
+
+    @pytest.mark.parametrize("ratio, degenerate", [(1e-13, True), (1e-11, False)])
+    def test_collinearity_threshold_is_the_svds(self, ratio, degenerate):
+        # three points whose centered cloud has singular values sqrt(2) and
+        # ratio * sqrt(2), in several orientations: s2 <= 1e-12 s1 raises,
+        # in the closed form as in the SVD it replaces
+        major = np.array([-1.0, 0.0, 1.0])
+        minor = ratio / math.sqrt(3.0) * np.array([1.0, -2.0, 1.0])
+        for angle in (0.0, 0.3, 1.0, 2.5):
+            cos, sin = math.cos(angle), math.sin(angle)
+            pts = np.column_stack([0.3 + cos * major - sin * minor, -0.2 + sin * major + cos * minor])
+            s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+            assert s[1] / s[0] == pytest.approx(ratio, rel=1e-2)
+            for fit in (fit_circle_center, reference_fit_circle_center):
+                if degenerate:
+                    with pytest.raises(DegenerateConfiguration):
+                        fit(pts, 1.0)
+                else:
+                    center, rms = fit(pts, 1.0)
+                    assert math.isfinite(center.x + center.y + rms)
 
 
 class TestSamplers:

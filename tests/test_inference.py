@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import betaln, roots_jacobi
@@ -361,6 +361,58 @@ class TestLocalExpansion:
             attack(obs, ORIGIN, None)
         assert len(direct) >= 6
         assert max(direct) < 100
+
+
+def reference_power_sums(v, K):
+    """_sep_expansion's coefficients S_k = sum_i v_i^k / k as a loop over
+    the K terms computed them."""
+    coef = np.empty(K, dtype=complex)
+    power = np.ones_like(v)
+    for k in range(K):
+        power *= v
+        coef[k] = power.sum() / (k + 1)
+    return coef
+
+
+def reference_series(coef, w):
+    """sum_k coef_k w^k, k = 1, ..., K, by Horner's rule, one step per term."""
+    acc = np.full(len(w), coef[-1])
+    for a in coef[-2::-1]:
+        acc *= w
+        acc += a
+    return acc * w
+
+
+class TestSeriesKernels:
+    @pytest.mark.parametrize("n", [1, 3, 50, 1600])
+    def test_power_sums_match_the_term_loop(self, n):
+        # v = s/u_i for far exits out to 1000 times the nearest one: |v| <= 1
+        rng = make_rng(n)
+        u = np.exp(rng.uniform(0.0, math.log(1e3), n) + 1j * rng.uniform(0.0, 2.0 * math.pi, n))
+        v = np.abs(u).min() / u
+        for K in range(1, 58):
+            k = np.arange(1, K + 1)
+            size = (np.abs(v)[None, :] ** k[:, None]).sum(axis=1) / k
+            got = inference._power_sums(v, K).ravel()[:K]
+            assert np.all(np.abs(got - reference_power_sums(v, K)) <= 1e-14 * size), K
+
+    @pytest.mark.parametrize("n", [50, 1600])
+    def test_series_matches_horner(self, n):
+        # sep at points in the disk, far exits only, against the series
+        # summed by Horner's rule on the loop's coefficients
+        rng = make_rng(n + 1)
+        phi = rng.uniform(0.0, 2.0 * math.pi, n)
+        z = np.exp(rng.uniform(math.log(3.0), math.log(1e3), n))[:, None] * np.column_stack([np.cos(phi), np.sin(phi)])
+        theta = _in_disk(rng, np.zeros(2), 1.0, 300)
+        far, K = inference._series_terms((z**2).sum(axis=1), 1.0)
+        assert far.all() and K > 0
+        u = z[:, 0] + 1j * z[:, 1]
+        scale = float(np.abs(u).min())
+        w = (theta[:, 0] + 1j * theta[:, 1]) / scale
+        want = np.log(np.abs(u) ** 2).sum() - 2.0 * reference_series(reference_power_sums(scale / u, K), w).real
+        got = inference._sep_expansion(z, np.zeros(2), 1.0)(theta)
+        size = np.abs(_direct_sep(theta, z)).sum(axis=1)
+        assert np.all(np.abs(got - want) <= 1e-14 * size)
 
 
 class TestRwmSample:
@@ -767,7 +819,8 @@ class TestAttackRandomRadius:
 
     def test_gamma_shape_below_one_skips_the_laplace_fit(self, monkeypatch):
         # below shape 1 the log-posterior is +inf at every exit: no Laplace
-        # fit, so no Gauss-Hermite rule, only the box; above it the fit runs
+        # fit, so no Gauss-Hermite rule, only the box (or, for one exit, the
+        # closed form); above it the fit runs
         real = inference._rr_laplace
         fits = []
 
@@ -779,7 +832,7 @@ class TestAttackRandomRadius:
         for n in (1, 4, 50):
             obs = generate_observations(ORIGIN, RandomRadius(GammaParams(0.7, 0.5)), n, make_rng(n))
             report = attack(obs, ORIGIN, None)
-            assert report.rule == "midpoint" and report.rule_gap == 0.0
+            assert report.rule == ("none" if n == 1 else "midpoint") and report.rule_gap == 0.0
         assert fits == []
         report = attack(generate_observations(ORIGIN, RR_MAIN, 50, make_rng(50)), ORIGIN, None)
         assert len(fits) == 1 and report.rule == "hermite"
@@ -869,9 +922,9 @@ class TestAttackTwoBalls:
 
     def test_single_exit_augmented_sampler(self, rng):
         # One exit: theta and the center angle psi are unknown. The attack
-        # integrates one grid over the rotated offset; check it against the
-        # direct tensor grid over (psi, theta - c(psi)), periodic midpoint
-        # rule in psi, unit Jacobian.
+        # answers in closed form; check it against the direct tensor grid
+        # over (psi, theta - c(psi)), periodic midpoint rule in psi, unit
+        # Jacobian.
         obs = generate_observations(ORIGIN, TB_MAIN, 1, rng)
         report = attack(obs, ORIGIN, rng)
         z = obs.positions[0]
@@ -891,7 +944,7 @@ class TestAttackTwoBalls:
         assert report.posterior_mean == Point(*z)
         assert np.allclose(w @ th, z, atol=1e-9)
         assert report.posterior_mse == pytest.approx(float(w @ (th**2).sum(axis=1)), rel=1e-5)
-        assert report.grids == 2 and report.rule == "polar"
+        assert report.grids == 0 and report.rule == "none"
         # With a flat prior on theta, theta - z1 given z1 follows the law of
         # theta - z1 given theta, so the posterior E|theta - z1|^2 is the
         # mean SP, R^2 - r^2 alpha / (alpha + beta).
@@ -1052,6 +1105,106 @@ class TestGaussRules:
             exact = 0.0 if k % 2 else math.prod(range(1, k, 2))
             scale = math.prod(range(1, k + 1, 2))  # E|x|^k's order
             assert w @ x**k == pytest.approx(exact, rel=1e-12, abs=1e-13 * scale)
+
+
+def reference_hermite_moments(target, mode, chol, N):
+    """(log mass, mean, cov) by the N x N Gauss-Hermite rule, with a target
+    call of its own: each rule as the attack computed it before both rules
+    shared one call."""
+    x, w = inference._hermite_rule(N)
+    xi = np.column_stack([np.repeat(x, N), np.tile(x, N)])
+    pts = mode + xi @ chol.T
+    logw = target(pts) + 0.5 * (xi * xi).sum(axis=1) + np.log(np.outer(w, w)).ravel()
+    peak = float(logw.max())
+    wts = np.exp(logw - peak)
+    total = float(wts.sum())
+    mean = wts @ pts / total
+    d = pts - mean
+    log_mass = peak + math.log(total) + math.log(2.0 * math.pi * chol[0, 0] * chol[1, 1])
+    return log_mass, mean, (d.T * wts) @ d / total
+
+
+class TestHermiteRulePair:
+    @pytest.mark.parametrize("n", [50, 200, 1600])
+    def test_one_target_call_gives_each_rules_moments(self, n, monkeypatch):
+        # the six matched Gammas: both rules from one call of the target on
+        # their 320 nodes, bit for bit as two calls of their own
+        for k, tb in enumerate(TABLE1_SETTINGS):
+            g = calibrate_random_radius(tb).matched_gamma
+            z = generate_observations(ORIGIN, RandomRadius(g), n, derive_rng(14, n, k)).positions
+            mode, cov = inference._rr_laplace(z, g.alpha, g.beta)
+            chol = np.linalg.cholesky(cov)
+            half = 1.001 * float(inference._hermite_rule(16)[0].max()) * np.abs(chol).sum(axis=1)
+            window = (mode[0] - half[0], mode[0] + half[0], mode[1] - half[1], mode[1] + half[1])
+            target = inference._rr_target(z, g.alpha, g.beta, window)
+            calls = []
+
+            def counted(pts):
+                calls.append(len(pts))
+                return target(pts)
+
+            got = inference._hermite_rules(counted, mode, chol)
+            assert calls == [8 * 8 + 16 * 16]
+            for rule, N in zip(got, (8, 16)):
+                want = reference_hermite_moments(target, mode, chol, N)
+                assert rule.log_mass == want[0]
+                assert np.array_equal(rule.mean, want[1])
+                assert np.array_equal(rule.cov, want[2])
+
+
+class TestSingleExit:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(0.01, 0.99),
+        st.floats(0.1, 50.0),
+        st.floats(0.2, 10.0),
+        st.floats(0.2, 10.0),
+        st.floats(0.05, 40.0),
+        st.floats(0.05, 20.0),
+        st.floats(0.1, 20.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_attacks_are_the_closed_form(self, ratio, R, a, b, alpha, rate, r_star, seed):
+        # one exit, flat prior on theta: mean the exit, variance the mean SP.
+        # The exits come from a home at the origin, where a region far
+        # smaller than the home's rounding (Gamma shape 0.05) still has its
+        # exit on its boundary; the attack is scored against another point.
+        rng = make_rng(seed)
+        theta = Point(*rng.uniform(-100.0, 100.0, 2))
+        r = ratio * R
+        cases = (
+            (TwoBalls(r, R, BetaParams(a, b)), R * R - r * r * a / (a + b)),
+            (RandomRadius(GammaParams(alpha, rate)), alpha / rate),
+            (FixedRadius(r_star), r_star * r_star),
+        )
+        for spec, variance in cases:
+            obs = generate_observations(ORIGIN, spec, 1, rng)
+            report = attack(obs, theta, None)
+            z = obs.positions[0]
+            assert report.posterior_mean == Point(*z)
+            assert report.variance == pytest.approx(variance, rel=1e-13, abs=0.0)
+            assert report.bias2 == pytest.approx(float(((z - theta.as_array()) ** 2).sum()), rel=1e-15)
+            assert (report.rule, report.rule_gap, report.edge_mass, report.grids, report.nodes) == (
+                "none", 0.0, 0.0, 0, 0
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.01, 0.99), st.floats(0.2, 10.0), st.floats(0.2, 10.0))
+    def test_offset_disk_matches_the_exact_moments(self, ratio, a, b):
+        # The polar rule as a quadrature oracle for the closed form. One exit
+        # at (-R, 0) from the center leaves the Beta law of u unchanged and
+        # weighs the angle by the Poisson kernel, so the offset q from the
+        # center has E[q] = (-r^2 a / ((a + b) R), 0) and E|q|^2 = r^2 a / (a + b).
+        # Wherever the rule certifies itself, it lies within twice its gap.
+        R = 3.0
+        r = ratio * R
+        post, quad = inference._tb_disk(np.array([[-R, 0.0]]), np.zeros(2), r, R, a, b)
+        assume(quad.rule == "polar")
+        q2 = r * r * a / (a + b)
+        var = float(np.trace(post.cov))
+        tol = 2.0 * quad.rule_gap + 1e-12
+        assert math.hypot(post.mean[0] + q2 / R, post.mean[1]) <= tol * math.sqrt(var)
+        assert abs(var + float(post.mean @ post.mean) - q2) <= tol * q2
 
 
 class TestAttackReport:
