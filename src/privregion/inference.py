@@ -31,17 +31,18 @@ of half its size (`_rule_gap`, reported as `AttackReport.rule_gap`):
 * two-balls: a polar product rule on the support disk B(c, r),
   Gauss-Jacobi nodes in u = |theta - c|^2/r^2 that carry the Beta
   placement prior exactly, times equispaced angles. It holds the support
-  exactly, so nothing is truncated. A posterior too concentrated for a
-  whole-disk rule goes to a midpoint grid on the support square instead;
+  exactly, so nothing is truncated, and an attack that POLAR_CAP nodes do
+  not certify fails with `DiagnosticsFailed`;
 * random-radius: a Gauss-Hermite product rule about the Laplace fit (mode
   by Newton's method) when the posterior is narrow and the Gamma shape
   exceeds 1, else a midpoint grid on a Gamma-quantile box around the
   exits.
 
-A midpoint grid (`grid_posterior`, GRID_NODES nodes per axis to start) is
-refined when the posterior sd spans too few cells, and an attack fails
-with `DiagnosticsFailed` when a window truncates visible mass. The
-attacks take no options: every rule size is a constant of this module.
+The random-radius box is a midpoint grid (`grid_posterior`, GRID_NODES
+nodes per axis to start), refined when the posterior sd spans too few
+cells; an attack fails with `DiagnosticsFailed` when the box truncates
+visible mass. The attacks take no options: every rule size is a constant
+of this module.
 Fixed-radius regions need no integration at all: every region is centered
 on theta with the known radius, so theta is the circle center that
 `recover_center` finds, one point for three or more exits and in closed
@@ -120,41 +121,31 @@ SERIES_TOL = 1e-17
 # N/2 (`_rule_gap`): their gap is the error of the half-size rule, and the
 # N rule is accepted when the gap is at most RULE_RTOL. Both rules converge
 # geometrically, so the accepted rule's own error is far below the gap: at
-# most 1.1e-11 relative in every case `tools/rule_table.py` measures, and
-# 2e-13 for the study settings' two-balls posteriors.
+# most 1.1e-11 relative in every case `tools/rule_table.py` measures.
 RULE_RTOL = 1e-6
 
 # Two-balls polar rule on B(c, r): POLAR_START Gauss-Jacobi nodes in u, and
 # twice as many angles, doubled while the gap exceeds RULE_RTOL, up to
-# POLAR_CAP. A posterior whose mean lies rho from c, with total sd, needs
-# about POLAR_NODES_PER_SD (rho + sd) / sd nodes: the angle steps at its far
-# side, pi (rho + sd) / N long, must stay under about sd / 2. Over the six
-# study settings and four other shapes (b = 0.3 to 1) at n = 50 to 6400,
-# 8 replicates each, every posterior that 128 nodes certify has
-# (rho + sd) / sd <= 17.9, read from the 32-node rule. One that the start
-# rule shows to need more than POLAR_CAP goes to the square midpoint grid
-# at once.
+# POLAR_CAP. Posteriors concentrated far from c, at large n or with exits
+# near the support, need the larger rules; one that POLAR_CAP nodes do not
+# certify raises DiagnosticsFailed.
 POLAR_START = 32
-POLAR_CAP = 128
-POLAR_NODES_PER_SD = 7.0
+POLAR_CAP = 512
 
 # Random-radius Laplace fits take a HERMITE_NODES^2 Gauss-Hermite rule.
 HERMITE_NODES = 16
 
-# Midpoint grids: the random-radius box and the two-balls fallback. Each
-# starts at GRID_NODES nodes per axis. Over the six study settings and
-# their matched Gammas, the largest relative MSE error of the box at
-# n = 1 to 20 is 1.1e-8 at 64 nodes, 6.7e-6 at 48 and 6.4e-5 at 32
-# (against 600^2 grids), and of the fallback at n = 3200 and 6400 it is
-# 6.6e-11 at 64 nodes, 6.9e-10 at 48 and 1.2e-9 at 32 (against a
-# 256 x 512 polar rule). A grid is refined when the posterior sd spans
-# fewer than MIN_CELLS_PER_SD cells (the midpoint rule's error on a smooth
-# peak falls like exp(-2 pi^2 (sd/cell)^2), about e^-79 at 2 cells), at
-# most MAX_REFINES times, onto the cells that each hold at least
+# Midpoint grid of the random-radius box: GRID_NODES nodes per axis to
+# start. Over the matched Gammas of the six study settings, its largest
+# relative MSE error at n = 1 to 20 is 1.1e-8 at 64 nodes, 6.7e-6 at 48 and
+# 6.4e-5 at 32 (against 600^2 grids). A grid is refined when the posterior
+# sd spans fewer than MIN_CELLS_PER_SD cells (the midpoint rule's error on
+# a smooth peak falls like exp(-2 pi^2 (sd/cell)^2), about e^-79 at 2
+# cells), at most MAX_REFINES times, onto the cells that each hold at least
 # REFINE_CELL_MASS of the mass: together the others hold under 1e-10 at
 # any node count used, and a minor mode far from the mean is kept.
 # EDGE_MASS_MAX is the largest share of mass the outermost ring of cells
-# may hold where a window cuts the support.
+# may hold.
 GRID_NODES = 64
 MIN_CELLS_PER_SD = 2.0
 MAX_REFINES = 3
@@ -182,8 +173,9 @@ class AdaptationFailed(RuntimeError):
 
 
 class DiagnosticsFailed(RuntimeError):
-    """A quadrature guard failed: the window truncated visible mass, or the
-    posterior stayed narrower than the grid could resolve."""
+    """A quadrature guard failed: the largest polar rule was not certified,
+    the window truncated visible mass, or the posterior stayed narrower than
+    the grid could resolve."""
 
 
 class InconsistentExits(ValueError):
@@ -261,22 +253,17 @@ class AttackReport:
     rule names the rule that gave the posterior: "polar" (two-balls,
     Gauss-Jacobi in u times equispaced angles on the support disk),
     "hermite" (random-radius, Gauss-Hermite about the Laplace fit),
-    "midpoint" (a grid: the random-radius box, or a two-balls posterior too
-    concentrated for the disk rule) or "none" (exact: fixed-radius recovery,
-    and one exit under any strategy); a two-balls pair of candidate centers
-    joins its two with "+".
+    "midpoint" (the random-radius box grid) or "none" (exact: fixed-radius
+    recovery, and one exit under any strategy).
     rule_gap is the gap of the accepted Gauss rule to its half-size rule
-    (`_rule_gap`). A midpoint grid reports 0, meaning "not measured", not
-    "exact": the two-balls fallback grid has missed a posterior's MSE by
-    1.6e-4 relative (r1-R5-a4-b2 at n = 6400). edge_mass is
-    the largest share of posterior mass found in the outermost ring of
-    cells wherever a midpoint window cut the posterior's support (0 when
-    every window held the whole support, and for every Gauss rule).
-    grids counts the rules evaluated: the half-size check and every
-    doubling of a Gauss rule, and every midpoint grid, the ones before a
-    fallback included. nodes is the most nodes per axis of a rule that gave
-    the posterior: Gauss nodes in u for the polar rule, which has twice as
-    many angles.
+    (`_rule_gap`), the larger of the two at a two-balls pair of candidate
+    centers. The box grid reports 0, meaning "not measured", not "exact".
+    edge_mass is the share of posterior mass in the box grid's outermost
+    ring of cells (0 for every Gauss rule). grids counts the rules
+    evaluated: the half-size check and every doubling of a Gauss rule, and
+    every midpoint grid, the Gauss rules before the box included. nodes is
+    the most nodes per axis of a rule that gave the posterior: Gauss nodes
+    in u for the polar rule, which has twice as many angles.
     """
 
     posterior_mean: Point
@@ -555,53 +542,37 @@ def rr_log_posterior(theta, obs: ExitObservationSet):
     return float(out[0]) if single else out
 
 
-def _tb_target(z: np.ndarray, c: np.ndarray, r: float, R: float, alpha: float, beta: float):
-    """Log target of two-balls with center c known.
-
-    The support is the disk |theta - c| < r, so the exit term is
-    _sep_expansion about c with reach r: every exit lies R > r from c, and
-    is far when R >= 2r, as in every study setting.
-    """
-    n = len(z)
-    sep = _sep_expansion(z, c, r)
-    const = (
-        -float(betaln(alpha, beta))
-        - math.log(math.pi * r * r)
-        - n * math.log(2.0 * math.pi * R)
-    )
-
-    def target(pts: np.ndarray) -> np.ndarray:
-        t2 = ((pts - c) ** 2).sum(axis=1)
-        out = np.full(len(pts), -np.inf)
-        inside = t2 < r * r
-        if inside.any():
-            t2i = t2[inside]
-            u = np.clip(t2i / (r * r), 1e-15, 1.0 - 1e-15)
-            out[inside] = (
-                const
-                + (alpha - 1.0) * np.log(u)
-                + (beta - 1.0) * np.log1p(-u)
-                + n * np.log(R * R - t2i)
-                - sep(pts[inside])
-            )
-        return out
-
-    return target
-
-
 def tb_log_posterior(theta, c, obs: ExitObservationSet):
     """Unnormalized log-posterior of theta under two-balls with center c known.
 
     Support is the open disk ||theta - c|| < r (the prior on the center
-    placement, inverted); outside it the value is -inf. Accepts a single
+    placement, inverted); outside it the value is -inf. The exit term is
+    _sep_expansion about c with reach r: every exit lies R > r from c, and
+    is far when R >= 2r, as in every study setting. Accepts a single
     location or an (m, 2) batch.
     """
     spec = obs.strategy
     if not isinstance(spec, TwoBalls):
         raise TypeError(f"observations carry {type(spec).__name__}, not TwoBalls")
     pts, single = _theta_batch(theta)
-    target = _tb_target(obs.positions, as_xy(c), spec.r, spec.R, spec.beta.alpha, spec.beta.beta)
-    out = target(pts)
+    z, c = obs.positions, as_xy(c)
+    r, R, alpha, beta = spec.r, spec.R, spec.beta.alpha, spec.beta.beta
+    n = len(z)
+    t2 = ((pts - c) ** 2).sum(axis=1)
+    out = np.full(len(pts), -np.inf)
+    inside = t2 < r * r
+    if inside.any():
+        t2i = t2[inside]
+        u = np.clip(t2i / (r * r), 1e-15, 1.0 - 1e-15)
+        out[inside] = (
+            -float(betaln(alpha, beta))
+            - math.log(math.pi * r * r)
+            - n * math.log(2.0 * math.pi * R)
+            + (alpha - 1.0) * np.log(u)
+            + (beta - 1.0) * np.log1p(-u)
+            + n * np.log(R * R - t2i)
+            - _sep_expansion(z, c, r)(pts[inside])
+        )
     return float(out[0]) if single else out
 
 
@@ -807,17 +778,12 @@ class GridPosterior:
         variance = _trace(self.cov)
         return bias2 + variance, bias2, variance
 
-    def edge_mass(self, sides=(True, True, True, True)) -> float:
-        """Share of the mass in the outermost cells along the flagged sides
-        (x0, x1, y0, y1): how much a window that cuts the posterior there
-        may have truncated."""
+    def edge_mass(self) -> float:
+        """Share of the mass in the outermost ring of cells: how much the
+        window may have truncated."""
         w = np.exp(self.log_density - self.log_density.max())
-        ring = np.zeros(w.shape, dtype=bool)
-        lo_x, hi_x, lo_y, hi_y = sides
-        ring[0, :] |= lo_x
-        ring[-1, :] |= hi_x
-        ring[:, 0] |= lo_y
-        ring[:, -1] |= hi_y
+        ring = np.ones(w.shape, dtype=bool)
+        ring[1:-1, 1:-1] = False
         return float(w[ring].sum() / w.sum())
 
     def mass_box(self, share: float) -> tuple[float, float, float, float]:
@@ -877,22 +843,17 @@ def grid_posterior(log_target, window, n: int = 400) -> GridPosterior:
     )
 
 
-_PLANE = (-math.inf, math.inf, -math.inf, math.inf)
-
-
-def _integrate(target, window, support=_PLANE):
+def _integrate(target, window):
     """Grid posterior of target from GRID_NODES nodes per axis, refined
     until the posterior sd spans MIN_CELLS_PER_SD cells. Each refinement
     integrates again on the cells that hold mass (GridPosterior.mass_box),
-    clipped to `support`, the box the posterior lives in (the whole plane
-    by default), with up to twice the nodes when that box is still too wide
-    for the sd, as for a multimodal posterior.
+    with up to twice the nodes when that box is still too wide for the sd,
+    as for a multimodal posterior.
 
-    Returns (grid, quadrature): the midpoint rule's edge mass along the
-    sides that cut the support, the grids integrated and the last grid's
-    nodes per axis. Raises DiagnosticsFailed when MAX_REFINES refinements
-    do not resolve the posterior, or when the edge mass exceeds
-    EDGE_MASS_MAX.
+    Returns (grid, quadrature): the midpoint rule's edge mass, the grids
+    integrated and the last grid's nodes per axis. Raises DiagnosticsFailed
+    when MAX_REFINES refinements do not resolve the posterior, or when the
+    edge mass exceeds EDGE_MASS_MAX.
     """
     nodes = GRID_NODES
     for grids in range(1, MAX_REFINES + 2):
@@ -900,16 +861,14 @@ def _integrate(target, window, support=_PLANE):
         cells = np.array([window[1] - window[0], window[3] - window[2]]) / nodes
         sd = np.sqrt(np.diag(gp.cov))
         if np.all(sd >= MIN_CELLS_PER_SD * cells):
-            # the window lies in the support, so a side cuts it where they differ
-            edge = gp.edge_mass(tuple(w != s for w, s in zip(window, support)))
+            edge = gp.edge_mass()
             if not edge <= EDGE_MASS_MAX:
                 raise DiagnosticsFailed(
                     f"quadrature window truncates posterior mass: edge mass {edge:.3g} "
                     f"exceeds {EDGE_MASS_MAX:g}"
                 )
             return gp, _Quadrature("midpoint", 0.0, edge, grids, nodes)
-        box = gp.mass_box(REFINE_CELL_MASS)
-        window = tuple(clip(b, s) for clip, b, s in zip((max, min, max, min), box, support))
+        window = gp.mass_box(REFINE_CELL_MASS)
         widths = np.array([window[1] - window[0], window[3] - window[2]])
         wanted = math.ceil(MIN_CELLS_PER_SD * float((widths / np.maximum(sd, cells)).max()))
         nodes = min(max(nodes, wanted), 2 * nodes)
@@ -929,19 +888,12 @@ def _reach_box(z: np.ndarray, reach: float) -> tuple[float, float, float, float]
     return (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
 
 
-def quadrature_window(obs: ExitObservationSet, center: Point | None = None):
-    """Integration window that holds the whole posterior, from
-    attacker-visible data only.
-
-    Two-balls posteriors live on the known support square around the
-    recovered center, random-radius ones where every exit is within the
-    upper RR_TAIL quantile of a region radius.
+def quadrature_window(obs: ExitObservationSet):
+    """Box that holds the whole random-radius posterior, from
+    attacker-visible data only: where every exit is within the upper
+    RR_TAIL quantile of a region radius.
     """
     spec = obs.strategy
-    if isinstance(spec, TwoBalls):
-        if center is None:
-            raise ValueError("two-balls window needs the recovered center")
-        return (center.x - spec.r, center.x + spec.r, center.y - spec.r, center.y + spec.r)
     if not isinstance(spec, RandomRadius):
         raise TypeError(f"no quadrature window for {type(spec).__name__}")
     a, b = spec.gamma.alpha, spec.gamma.beta
@@ -1049,31 +1001,24 @@ def _tb_disk(z: np.ndarray, c: np.ndarray, r: float, R: float, alpha: float, bet
     """(moments, quadrature) of the two-balls posterior on the disk B(c, r).
 
     The polar rule starts at POLAR_START nodes and doubles until it is
-    within RULE_RTOL of its half-size rule. A posterior that the start
-    rule's mean and sd show to need more than POLAR_CAP nodes, or that
-    POLAR_CAP nodes do not certify, goes to the midpoint grid on the
-    support square, whose error no rule gap measures: its quadrature
-    reports rule_gap = 0.
+    within RULE_RTOL of its half-size rule. Raises DiagnosticsFailed when
+    POLAR_CAP nodes are not.
     """
     sep = _sep_expansion(z, c, r)
-    N = POLAR_START
+    N, grids = POLAR_START, 1
     coarse = _polar_rule(sep, len(z), c, r, R, alpha, beta, N // 2)
-    fine = _polar_rule(sep, len(z), c, r, R, alpha, beta, N)
-    grids = 2
-    sd = math.sqrt(_trace(fine.cov))
-    too_narrow = POLAR_NODES_PER_SD * (math.hypot(*(fine.mean - c)) + sd) > POLAR_CAP * sd
     while True:
+        fine = _polar_rule(sep, len(z), c, r, R, alpha, beta, N)
+        grids += 1
         gap = _rule_gap(fine, coarse)
         if gap <= RULE_RTOL:
             return fine, _Quadrature("polar", gap, 0.0, grids, N)
-        if too_narrow or N >= POLAR_CAP:
-            break
-        N *= 2
-        coarse, fine = fine, _polar_rule(sep, len(z), c, r, R, alpha, beta, N)
-        grids += 1
-    square = (c[0] - r, c[0] + r, c[1] - r, c[1] + r)
-    gp, quad = _integrate(_tb_target(z, c, r, R, alpha, beta), square, square)
-    return gp, quad._replace(grids=grids + quad.grids)
+        if N >= POLAR_CAP:
+            raise DiagnosticsFailed(
+                f"the {N}-node polar rule is {gap:.3g} from its half-size rule, "
+                f"above RULE_RTOL = {RULE_RTOL:g}"
+            )
+        coarse, N = fine, 2 * N
 
 
 @functools.lru_cache(maxsize=None)
@@ -1221,9 +1166,9 @@ def _attack_tb(obs: ExitObservationSet):
     parts = [_tb_disk(z, cpt.as_array(), r, R, a, b) for cpt in (est.plus, est.minus)]
     quads = [q for _, q in parts]
     quad = _Quadrature(
-        "+".join(dict.fromkeys(q.rule for q in quads)),
+        "polar",
         max(q.rule_gap for q in quads),
-        max(q.edge_mass for q in quads),
+        0.0,
         sum(q.grids for q in quads),
         max(q.nodes for q in quads),
     )
@@ -1260,8 +1205,8 @@ def attack(
     rule is not certified) the midpoint grid on the box the exits allow.
     Two-balls: center recovery first, then the polar rule on the support
     disk around the center (n >= 3), or a mixture over the two candidate
-    centers (n = 2); a posterior too concentrated for the disk rule takes
-    the midpoint grid on the support square.
+    centers (n = 2); DiagnosticsFailed when POLAR_CAP nodes do not certify
+    the rule.
 
     Each strategy's attack returns only the posterior, its mean and total
     variance, and how it was integrated. It is scored here, once, as

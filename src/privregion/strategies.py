@@ -116,7 +116,13 @@ class ExitObservationSet:
         if not (all(np.isfinite(a).all() for a in (pos, ctr, radii)) and np.all(radii > 0)):
             raise ValueError("exit positions, centers and radii must be finite, radii > 0")
         dist = np.hypot(pos[:, 0] - ctr[:, 0], pos[:, 1] - ctr[:, 1])
-        off = np.abs(dist - radii) > harmonic.BOUNDARY_RTOL * radii
+        err = np.abs(dist - radii) - harmonic.BOUNDARY_RTOL * radii
+        off = err > 0.0
+        if off.any():
+            # forming an absolute coordinate (theta plus an offset) rounds it
+            # by up to half an ulp of its size, which a tiny region cannot absorb
+            p, c = pos[off], ctr[off]
+            off[off] = err[off] > np.finfo(float).eps * (np.hypot(p[:, 0], p[:, 1]) + np.hypot(c[:, 0], c[:, 1]))
         if off.any():
             i = int(np.argmax(off))
             raise harmonic.PointNotOnBoundary(

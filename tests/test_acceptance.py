@@ -272,9 +272,9 @@ def _oracle_gap(spec, k: int, n: int, theta: Point):
     if isinstance(spec, TwoBalls):
         c = recover_center(obs.positions, spec.R)
         assert isinstance(c, UniqueCenter)
+        x, y, r = c.center.x, c.center.y, spec.r
         grid = grid_posterior(
-            lambda p: tb_log_posterior(p, c.center, obs),
-            quadrature_window(obs, center=c.center),
+            lambda p: tb_log_posterior(p, c.center, obs), (x - r, x + r, y - r, y + r)
         )
     else:
         grid = grid_posterior(

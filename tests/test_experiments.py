@@ -581,6 +581,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "DiagnosticsFailed" in err and "edge mass" in err
 
+    def test_uncertified_two_balls_exit_code(self, capsys):
+        # exits 0.1 from the support (r = 2.9, R = 3): at seed 1 the
+        # 512-node polar rule is 2.6e-3 from its half-size rule, and with no
+        # grid to fall back to the attack fails loudly
+        rc = main(
+            "attack --strategy two-balls --r 2.9 --R 3 --alpha 4 --beta 0.5 --n 50 --seed 1".split()
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "DiagnosticsFailed" in err and "512-node polar rule" in err
+
     def test_sampler_keys_rejected(self, tmp_path, capsys):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"master_seed": 3, "sampler": {"ess_min": 1e9}}))

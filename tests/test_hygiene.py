@@ -7,6 +7,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "tests", "demos", "tools")
+PACKAGE = ROOT / "src" / "privregion"
 
 
 def _sources():
@@ -54,3 +55,63 @@ def test_finds_unused_imports():
 @pytest.mark.parametrize("path", _sources(), ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_checked(name: str) -> bool:
+    """Private names and UPPER_CASE constants, not dunders."""
+    return not name.startswith("__") and (name.startswith("_") or name.isupper())
+
+
+def top_level_names(source: str) -> list[str]:
+    """The module's top-level private names and UPPER_CASE constants."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if _is_checked(n)]
+
+
+def read_names(source: str) -> set[str]:
+    """Names a module reads, as a bare name or as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def test_finds_unread_names():
+    src = (
+        "import math\n"
+        "_USED = 1\n"
+        "_LEFT = 2\n"
+        "LIMIT: int = 3\n"
+        "__all__ = []\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "def public():\n"
+        "    return math.pi\n"
+    )
+    names = top_level_names(src)
+    assert names == ["_USED", "_LEFT", "LIMIT", "_helper"]
+    assert [n for n in names if n not in read_names(src)] == ["_LEFT", "LIMIT", "_helper"]
+
+
+def test_private_names_and_constants_are_read():
+    # a top-level private name or constant that nothing in src/ reads is
+    # left over from deleted code
+    sources = {p: p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
+    read = set().union(*(read_names(s) for s in sources.values()))
+    unread = [
+        f"{p.relative_to(ROOT)}: {name}"
+        for p, s in sources.items()
+        if p.parent == PACKAGE
+        for name in top_level_names(s)
+        if name not in read
+    ]
+    assert unread == []

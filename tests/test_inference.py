@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import betaln, roots_jacobi
@@ -47,6 +47,11 @@ TB_MAIN = TwoBalls(1.0, 3.0, BetaParams(4.0, 4.0))
 RR_MAIN = RandomRadius(GammaParams(4.0, 4.0))
 ORIGIN = Point(0.0, 0.0)
 LOG_PI = 1.1447298858494002
+
+
+def support_square(c: Point, r: float):
+    """The square (x0, x1, y0, y1) around the two-balls support disk B(c, r)."""
+    return (c.x - r, c.x + r, c.y - r, c.y + r)
 
 
 def rr_obs_at(positions, gamma=GammaParams(1.0, 1.0)):
@@ -592,7 +597,7 @@ class TestGridPosterior:
         c = tb_obs.shared_region.center
         grids = (
             (lambda p: rr_log_posterior(p, rr_obs), quadrature_window(rr_obs)),
-            (lambda p: tb_log_posterior(p, c, tb_obs), quadrature_window(tb_obs, c)),
+            (lambda p: tb_log_posterior(p, c, tb_obs), support_square(c, tb_obs.strategy.r)),
         )
         want = [grid_posterior(target, window, n=24) for target, window in grids]
         for budget in (1, 7 * 1600):
@@ -644,17 +649,18 @@ class TestGridPosterior:
                 lambda p: rr_log_posterior(p, rr), quadrature_window(rr), n=128
             ),
             "tb grid": lambda: grid_posterior(
-                lambda p: tb_log_posterior(p, c, tb), quadrature_window(tb, c), n=128
+                lambda p: tb_log_posterior(p, c, tb), support_square(c, TB_MAIN.r), n=128
             ),
         }
         peaks = {name: peak(fn) for name, fn in runs.items()}
         assert max(peaks.values()) < 8 * 2**20, peaks
 
-    def test_edge_mass_counts_flagged_sides(self):
+    def test_edge_mass_counts_the_outer_ring(self):
         grid = grid_posterior(lambda p: np.zeros(len(p)), (0.0, 1.0, 0.0, 1.0), n=10)
         assert grid.edge_mass() == pytest.approx(36 / 100)
-        assert grid.edge_mass((True, False, False, False)) == pytest.approx(10 / 100)
-        assert grid.edge_mass((False,) * 4) == 0.0
+        # a peak in one corner cell: all its mass is in the ring
+        grid = grid_posterior(lambda p: -1e3 * ((p - 0.05) ** 2).sum(axis=1), (0.0, 1.0, 0.0, 1.0), n=10)
+        assert grid.edge_mass() > 0.99
 
     def test_degenerate_window_rejected(self):
         with pytest.raises(ValueError):
@@ -668,14 +674,11 @@ class TestGridPosterior:
 
 
 class TestQuadratureWindow:
-    def test_two_balls_needs_center(self, rng):
+    def test_two_balls_has_no_window(self, rng):
+        # two-balls integrates on its support disk by the polar rule alone
         obs = generate_observations(ORIGIN, TB_MAIN, 4, rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             quadrature_window(obs)
-        c = obs.shared_region.center
-        x0, x1, y0, y1 = quadrature_window(obs, center=c)
-        assert (x1 - x0) == pytest.approx(2.0 * TB_MAIN.r)
-        assert x0 < c.x < x1 and y0 < c.y < y1
 
     def test_single_exit_window_has_scale(self):
         # one exit: the home is within the upper 1e-12 quantile of a
@@ -848,7 +851,7 @@ class TestAttackTwoBalls:
         assert isinstance(c, UniqueCenter)
         grid = grid_posterior(
             lambda p: tb_log_posterior(p, c.center, obs),
-            quadrature_window(obs, center=c.center),
+            support_square(c.center, TB_MAIN.r),
         )
         mse_gap, mean_gap = _rel_gaps(report, grid, theta)
         # measured 1.8e-10 and 2.0e-10: the oracle's own error, where the
@@ -857,21 +860,29 @@ class TestAttackTwoBalls:
         assert mean_gap < 1e-8
 
     def test_fallback_diagnostics_gates(self, monkeypatch):
-        # no polar rule is certified at RULE_RTOL = 0, so the attack takes
-        # the square grid, whose refined window leaves 2.8e-17 of the mass
-        # in its edge cells where it cuts the support square
-        rng = derive_rng(3, 0, 1600)
-        obs = generate_observations(ORIGIN, TABLE1_SETTINGS[0], 1600, rng)
+        # no polar rule is certified at RULE_RTOL = 0, and with no grid to
+        # fall back to the two-balls attack fails after POLAR_CAP nodes. The
+        # one grid left, the random-radius box (here for the Gamma matched
+        # to the same setting, at n = 6), keeps its edge-mass and cell
+        # guards.
+        tb = TABLE1_SETTINGS[0]
+        obs = generate_observations(ORIGIN, tb, 1600, derive_rng(3, 0, 1600))
+        rr = generate_observations(
+            ORIGIN, RandomRadius(calibrate_random_radius(tb).matched_gamma), 6, derive_rng(3, 0, 6)
+        )
+        assert attack(obs, ORIGIN, None).rule == "polar"
+        assert attack(rr, ORIGIN, None).rule == "midpoint"
         monkeypatch.setattr(inference, "RULE_RTOL", 0.0)
-        assert attack(obs, ORIGIN, rng).rule == "midpoint"
+        with pytest.raises(DiagnosticsFailed, match=f"{inference.POLAR_CAP}-node polar rule"):
+            attack(obs, ORIGIN, None)
+        monkeypatch.undo()
         monkeypatch.setattr(inference, "EDGE_MASS_MAX", 0.0)
         with pytest.raises(DiagnosticsFailed, match="edge mass"):
-            attack(obs, ORIGIN, rng)
+            attack(rr, ORIGIN, None)
         monkeypatch.undo()
-        monkeypatch.setattr(inference, "RULE_RTOL", 0.0)
         monkeypatch.setattr(inference, "MIN_CELLS_PER_SD", 1e9)
         with pytest.raises(DiagnosticsFailed, match="cells"):
-            attack(obs, ORIGIN, rng)
+            attack(rr, ORIGIN, None)
 
     def test_draws_stay_in_support(self, rng, monkeypatch):
         # every point at which the attack evaluates the two-balls target
@@ -973,11 +984,18 @@ def _polar_reference(obs, c, N=256):
     N x 2N Gauss-Jacobi x trapezoid rule, from the public pointwise
     log-posterior: the Beta weight u^(a-1) (1-u)^(b-1) that the Jacobi
     weights carry is divided out of tb_log_posterior at every node. The
-    rule's constant factors are the same for every center of one spec."""
+    rule's constant factors are the same for every center of one spec.
+    Up to 256 nodes they are scipy's roots_jacobi; larger rules take
+    core.jacobi_rule, whose moments test_jacobi_rule_is_exact_at_large_n
+    checks, as roots_jacobi's Beta moments are off by 5e-11 at 512 nodes
+    for b = 0.5."""
     spec = obs.strategy
     r, a, b = spec.r, spec.beta.alpha, spec.beta.beta
-    x, w = roots_jacobi(N, b - 1.0, a - 1.0)
-    u = 0.5 * (1.0 + x)
+    if N <= 256:
+        x, w = roots_jacobi(N, b - 1.0, a - 1.0)
+        u = 0.5 * (1.0 + x)
+    else:
+        u, w = jacobi_rule(N, a, b)
     phi = math.pi * np.arange(2 * N) / N
     ring = np.column_stack([np.cos(phi), np.sin(phi)])
     pts = (c + (r * np.sqrt(u))[:, None, None] * ring).reshape(-1, 2)
@@ -992,8 +1010,9 @@ def _polar_reference(obs, c, N=256):
     return peak + math.log(total), mean, (d.T * wts) @ d
 
 
-def _reference_tb(obs, theta):
-    """Reference (posterior MSE, variance) of the two-balls attack."""
+def _reference_tb(obs, theta, N=256):
+    """Reference (posterior MSE, variance) of the two-balls attack, by the
+    N-node polar reference."""
     spec = obs.strategy
     est = recover_center(obs.positions, spec.R)
     if isinstance(est, CenterArc):
@@ -1004,7 +1023,7 @@ def _reference_tb(obs, theta):
         var = float((m[0] + R) ** 2 + m[1] ** 2 + np.trace(cov))
         return float(((est.base.as_array() - theta) ** 2).sum()) + var, var
     centers = (est.center,) if isinstance(est, UniqueCenter) else (est.plus, est.minus)
-    parts = [_polar_reference(obs, cpt.as_array()) for cpt in centers]
+    parts = [_polar_reference(obs, cpt.as_array(), N) for cpt in centers]
     lm = np.array([p[0] for p in parts])
     wts = np.exp(lm - lm.max())
     wts /= wts.sum()
@@ -1056,26 +1075,27 @@ class TestGaussRules:
             assert report.posterior_mse == pytest.approx(mse, rel=1e-10, abs=0.0), (k, n)
             assert report.variance == pytest.approx(var, rel=1e-10, abs=0.0), (k, n)
 
-    def test_concentrated_near_edge_certifies_or_falls_back(self, monkeypatch):
+    def test_concentrated_near_edge_certifies_or_raises(self):
         # r/R = 0.97: exits 0.1 from the support, where the likelihood peaks
-        # sharply. An attack either certifies its polar rule and matches the
-        # reference, or takes the square grid; with nothing certifiable
-        # (RULE_RTOL = 0) every attack takes the grid
+        # sharply. An attack either certifies its polar rule and matches a
+        # 1024-node reference, or raises. Replicates 0 and 1 certify at 512
+        # nodes, within 1e-13 of the reference (the 256-node reference is
+        # itself 1.1e-10 off at replicate 0); 2 and 3 raise.
         spec = TwoBalls(2.9, 3.0, BetaParams(4.0, 0.5))
-        obs = [generate_observations(ORIGIN, spec, 50, derive_rng(13, rep)) for rep in range(4)]
-        for o in obs:
-            report = attack(o, ORIGIN, None)
-            assert report.rule in ("polar", "midpoint")
-            if report.rule == "polar":
-                assert report.rule_gap <= inference.RULE_RTOL
-                mse, _ = _reference_tb(o, ORIGIN.as_array())
-                assert report.posterior_mse == pytest.approx(mse, rel=1e-10, abs=0.0)
-            else:
-                assert report.rule_gap == 0.0 and report.grids > 2
-        monkeypatch.setattr(inference, "RULE_RTOL", 0.0)
-        for o in obs:
-            report = attack(o, ORIGIN, None)
-            assert report.rule == "midpoint" and report.rule_gap == 0.0
+        outcomes = []
+        for rep in range(4):
+            obs = generate_observations(ORIGIN, spec, 50, derive_rng(13, rep))
+            try:
+                report = attack(obs, ORIGIN, None)
+            except DiagnosticsFailed as e:
+                assert "polar rule" in str(e)
+                outcomes.append("raised")
+                continue
+            outcomes.append(report.rule)
+            assert report.rule_gap <= inference.RULE_RTOL
+            mse, _ = _reference_tb(obs, ORIGIN.as_array(), N=1024)
+            assert report.posterior_mse == pytest.approx(mse, rel=1e-10, abs=0.0)
+        assert outcomes == ["polar", "polar", "raised", "raised"]
 
     # the polar rule's Beta priors, and the laws sp_cdf's panels weigh by:
     # Beta(1, 1), Beta(1, b) and Beta(2a, 1)
@@ -1091,6 +1111,18 @@ class TestGaussRules:
             x, ws = roots_jacobi(N, b - 1.0, a - 1.0)
             assert np.allclose(u, 0.5 * (1.0 + x), rtol=0.0, atol=1e-15)
             assert np.allclose(w, ws / ws.sum(), rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("a, b", [(4.0, 4.0), (4.0, 2.0), (2.0, 4.0), (4.0, 0.5), (2.0, 0.3)])
+    def test_jacobi_rule_is_exact_at_large_n(self, a, b):
+        # the polar rule's largest sizes, and the 1024-node reference: the
+        # Beta moments E[u^k], k < 64, to 1e-12 (measured at most 3.5e-13,
+        # at (2, 0.3) and 1024 nodes, where roots_jacobi is off by 4.5e-10)
+        k = np.arange(64)
+        exact = np.exp([betaln(a + j, b) - betaln(a, b) for j in k])
+        for N in (256, 512, 1024):
+            u, w = jacobi_rule(N, a, b)
+            got = w @ u[:, None] ** k
+            assert np.allclose(got, exact, rtol=1e-12, atol=0.0), (N, np.abs(got / exact - 1).max())
 
     def test_rules_are_exact_on_their_weights(self):
         # the N-node Gauss-Jacobi rule integrates u^k, k < 2N, against
@@ -1196,10 +1228,13 @@ class TestSingleExit:
         # weighs the angle by the Poisson kernel, so the offset q from the
         # center has E[q] = (-r^2 a / ((a + b) R), 0) and E|q|^2 = r^2 a / (a + b).
         # Wherever the rule certifies itself, it lies within twice its gap.
+        # Examples that POLAR_CAP nodes do not certify raise and are rejected.
         R = 3.0
         r = ratio * R
-        post, quad = inference._tb_disk(np.array([[-R, 0.0]]), np.zeros(2), r, R, a, b)
-        assume(quad.rule == "polar")
+        try:
+            post, quad = inference._tb_disk(np.array([[-R, 0.0]]), np.zeros(2), r, R, a, b)
+        except DiagnosticsFailed:
+            reject()
         q2 = r * r * a / (a + b)
         var = float(np.trace(post.cov))
         tol = 2.0 * quad.rule_gap + 1e-12

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from privregion.core import BetaParams, Disk, GammaParams, Point, make_rng
+from privregion.core import BetaParams, Disk, GammaParams, Point, derive_rng, make_rng
 from privregion.experiments import TABLE1_SETTINGS, setting_tag
 from privregion.harmonic import PointNotOnBoundary, sample_exit_offsets
 from privregion.strategies import (
@@ -68,6 +68,23 @@ class TestSpecValidation:
             off[1] = z
             with pytest.raises(PointNotOnBoundary, match="exit 1"):
                 ExitObservationSet(RR_MAIN, off, c, radii, (off**2).sum(axis=1))
+
+    def test_tiny_regions_away_from_origin_build(self):
+        # Gamma shape 0.108 (matched to (2.9, 3, 4, 0.5)) draws radii far
+        # below the rounding of |theta|; their exits, placed exactly in
+        # theta-relative coordinates, must not be refused once theta is
+        # added (148 of 200 draws were at (3, 4), 181 at (100, 0))
+        spec = RandomRadius(calibrate_random_radius(TwoBalls(2.9, 3.0, BetaParams(4.0, 0.5))).matched_gamma)
+        for theta in (Point(3.0, 4.0), Point(100.0, 0.0)):
+            for rep in range(200):
+                generate_observations(theta, spec, 50, derive_rng(1, rep))
+        # an exit moved off its circle by 1e-6 of its radius still is
+        obs = generate_observations(Point(100.0, 0.0), spec, 50, derive_rng(1, 0))
+        i = int(np.argmax(obs.radii))
+        pos = obs.positions.copy()
+        pos[i] += 1e-6 * (pos[i] - obs.centers[i])
+        with pytest.raises(PointNotOnBoundary, match=f"exit {i}"):
+            ExitObservationSet(spec, pos, obs.centers, obs.radii, obs.sps)
 
     def test_two_balls_exits_share_region(self):
         z = np.array([[3.0, 0.0], [3.1, 0.0]])

@@ -1,37 +1,49 @@
-"""Accuracy and cost of the attacks' Gauss rules, against references and
-against the midpoint grids they replace.
+"""Accuracy and cost of the attacks' Gauss rules, against references built
+apart from them.
 
-For each two-balls setting x n it prints the rule the attack accepted (the
-polar rule's N, Gauss-Jacobi nodes in u by 2N angles, the midpoint
-fallback, or "none" for the closed form at n = 1), the largest gap to the
-half-size rule, the largest relative MSE error of the attack ("new") and
-of the 64^2 midpoint grid on the support square that it replaces ("old"),
-each against a 256 x 512 Gauss-Jacobi x trapezoid reference built from the
-public pointwise `tb_log_posterior`, and the median per-attack time of
-both (best of --calls calls each). At n = 1 the reference and the old grid
-integrate the offset from the unknown center, the quadrature the closed
-form replaced.
+For each two-balls setting x n it prints, over the replicates, the polar
+rule sizes the attack accepted (N Gauss-Jacobi nodes in u by 2N angles,
+or "none" for the closed form at n = 1) with their counts, how many
+attacks raised DiagnosticsFailed, the largest gap to the half-size rule,
+the largest relative MSE error against a reference, how many certified
+attacks lie within twice their reported gap of it (give or take
+ROUNDING), the median per-attack time (best of --calls calls each), and
+the reference's own largest relative MSE gap to the rule of twice its
+size. The reference is a
+--ref-nodes x (2 --ref-nodes) Gauss-Jacobi x trapezoid rule built from the
+public pointwise `tb_log_posterior` with `core.jacobi_rule`'s nodes (whose
+Beta moments the tests check to 1e-12 up to 1024 nodes; scipy's
+roots_jacobi is off by 5e-11 at 512 nodes for b = 0.5). At n = 1 it
+integrates the offset from the unknown center, which the closed form
+replaced.
 
-For random-radius, with the Gamma matched to each setting, it prints the
-same for the 16 x 16 Gauss-Hermite rule against a 256^2 midpoint grid on
-the Laplace fit's mode +- 8 sd; "old" is the 64^2 grid on that window
+By default it measures the six study settings at n = 6400 and 25600, and
+three shapes whose b < 1 piles the posterior at the support's edge, two
+of them with exits near the support: (2, 3, 2, 0.3) at n = 200,
+(1, 5, 4, 0.5) at n = 6400 and (2.9, 3, 4, 0.5) at n = 5 and 50.
+Replicate rep at size n draws its exits from derive_rng(seed, n, rep).
+
+For random-radius, with the Gamma matched to each study setting, it prints
+the same for the 16 x 16 Gauss-Hermite rule against a 256^2 midpoint grid
+on the Laplace fit's mode +- 8 sd; "old" is the 64^2 grid on that window
 (the attack before the Gauss rules).
 
 Run from the root of a checkout:
 
-    PYTHONPATH=src python tools/rule_table.py --replicates 3 --sizes 1 2 3 50 200 1600
+    PYTHONPATH=src python tools/rule_table.py --replicates 6
+    PYTHONPATH=src python tools/rule_table.py --sizes 2 3 50 --skip-extra --ref-nodes 256
 """
 
 import argparse
 import math
 import statistics
 import time
+from collections import Counter
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from privregion import inference
-from privregion.core import BetaParams, Point, derive_rng
+from privregion.core import BetaParams, Point, derive_rng, jacobi_rule
 from privregion.experiments import TABLE1_SETTINGS, setting_tag
 from privregion.inference import (
     CenterArc,
@@ -50,75 +62,68 @@ from privregion.strategies import (
     generate_observations,
 )
 
-EXTRA_SETTINGS = tuple(
-    TwoBalls(r, R, BetaParams(a, b)) for r, R, a, b in ((2.0, 3.0, 2.0, 0.3), (1.0, 5.0, 4.0, 0.5), (2.9, 3.0, 4.0, 0.5))
+# (setting, default sizes) of the shapes beyond the study's
+EXTRA_CASES = (
+    (TwoBalls(2.0, 3.0, BetaParams(2.0, 0.3)), (200,)),
+    (TwoBalls(1.0, 5.0, BetaParams(4.0, 0.5)), (6400,)),
+    (TwoBalls(2.9, 3.0, BetaParams(4.0, 0.5)), (5, 50)),
 )
+STUDY_SIZES = (6400, 25600)
 ORIGIN = Point(0.0, 0.0)
+# nodes in u per block of the reference, which bounds its memory
+REF_BLOCK = 32
+# the relative MSE error that rounding alone leaves an attack and the
+# reference apart by: "within 2 gap" means err <= 2 gap + ROUNDING
+ROUNDING = 1e-12
 
 
-def polar_reference(obs, c, N=256):
+def polar_reference(obs, c, N):
     """(log mass, mean, cov) on B(c, r) by the N x 2N rule, from the
-    pointwise log-posterior with the Beta weight divided out."""
+    pointwise log-posterior with the Beta weight divided out, taken in
+    blocks of REF_BLOCK radii."""
     spec = obs.strategy
     r, a, b = spec.r, spec.beta.alpha, spec.beta.beta
-    x, w = roots_jacobi(N, b - 1.0, a - 1.0)
-    u = 0.5 * (1.0 + x)
+    u, w = jacobi_rule(N, a, b)
     phi = math.pi * np.arange(2 * N) / N
     ring = np.column_stack([np.cos(phi), np.sin(phi)])
-    pts = (c + (r * np.sqrt(u))[:, None, None] * ring).reshape(-1, 2)
-    logw = tb_log_posterior(pts, c, obs).reshape(N, 2 * N)
-    logw += (np.log(w) - (a - 1.0) * np.log(u) - (b - 1.0) * np.log1p(-u))[:, None]
+    radii = r * np.sqrt(u)
+    log_rule = np.log(w) - (a - 1.0) * np.log(u) - (b - 1.0) * np.log1p(-u)
+    blocks = [slice(lo, lo + REF_BLOCK) for lo in range(0, N, REF_BLOCK)]
+
+    def points(rows):
+        return (c + radii[rows, None, None] * ring).reshape(-1, 2)
+
+    logw = np.concatenate(
+        [tb_log_posterior(points(rows), c, obs).reshape(-1, 2 * N) + log_rule[rows, None] for rows in blocks]
+    )
     peak = logw.max()
-    wts = np.exp(logw - peak).ravel()
+    wts = np.exp(logw - peak)
     total = wts.sum()
     wts /= total
-    mean = wts @ pts
-    d = pts - mean
-    return peak + math.log(total), mean, (d.T * wts) @ d
+    mean = sum(wts[rows].ravel() @ points(rows) for rows in blocks)
+    cov = np.zeros((2, 2))
+    for rows in blocks:
+        d = points(rows) - mean
+        cov += (d.T * wts[rows].ravel()) @ d
+    return peak + math.log(total), mean, cov
 
 
-def reference_mse(obs, theta):
+def reference_mse(obs, theta, N):
     spec = obs.strategy
     est = recover_center(obs.positions, spec.R)
     if isinstance(est, CenterArc):
         R = spec.R
         one = ExitObservationSet(spec, [[-R, 0.0]], [[0.0, 0.0]], [R], [R * R])
-        _, m, cov = polar_reference(one, np.zeros(2))
+        _, m, cov = polar_reference(one, np.zeros(2), N)
         return float(((est.base.as_array() - theta) ** 2).sum() + (m[0] + R) ** 2 + m[1] ** 2 + np.trace(cov))
     centers = (est.center,) if isinstance(est, UniqueCenter) else (est.plus, est.minus)
-    parts = [polar_reference(obs, cpt.as_array()) for cpt in centers]
+    parts = [polar_reference(obs, cpt.as_array(), N) for cpt in centers]
     lm = np.array([p[0] for p in parts])
     wts = np.exp(lm - lm.max())
     wts /= wts.sum()
     mean = sum(w * p[1] for w, p in zip(wts, parts))
     var = sum(w * (np.trace(p[2]) + ((p[1] - mean) ** 2).sum()) for w, p in zip(wts, parts))
     return float(((mean - theta) ** 2).sum() + var)
-
-
-def square_grid(z, c, r, R, a, b):
-    """The two-balls attack before the polar rule: the midpoint grid on the
-    support square, refined as the fallback still is."""
-    square = (c[0] - r, c[0] + r, c[1] - r, c[1] + r)
-    return inference._integrate(inference._tb_target(z, c, r, R, a, b), square, square)
-
-
-def old_attack(obs):
-    """Posterior MSE of the two-balls attack before the polar rule: the
-    midpoint grid on the support square, and at n = 1 (before the closed
-    form) that grid over the offset q from the unknown center, with
-    E|theta - z1|^2 = E|(R, 0) + q|^2."""
-    spec = obs.strategy
-    if len(obs) == 1:
-        R = spec.R
-        gp, _ = square_grid(np.array([[-R, 0.0]]), np.zeros(2), spec.r, R, spec.beta.alpha, spec.beta.beta)
-        bias2 = float(((obs.positions[0] - ORIGIN.as_array()) ** 2).sum())
-        return bias2 + float((gp.mean[0] + R) ** 2 + gp.mean[1] ** 2 + np.trace(gp.cov))
-    real = inference._tb_disk
-    inference._tb_disk = square_grid
-    try:
-        return attack(obs, ORIGIN, None).posterior_mse
-    finally:
-        inference._tb_disk = real
 
 
 def laplace_grid(obs):
@@ -152,35 +157,36 @@ def timed(fn, calls):
     return out, best
 
 
-def two_balls_rows(settings, sizes, reps, calls, seed):
+def two_balls_rows(cases, reps, calls, seed, ref_nodes):
     theta = ORIGIN.as_array()
-    print("| setting | n | rule (N) | gap | err new | err old | ms new | ms old |")
-    print("|---|---|---|---|---|---|---|---|")
-    for k, spec in enumerate(settings):
+    print("| setting | n | rule (N): count | raised | gap | err | within 2 gap | ms | ref gap |")
+    print("|---|---|---|---|---|---|---|---|---|")
+    for spec, sizes in cases:
         for n in sizes:
-            rules, gaps, err_new, err_old, t_new, t_old = set(), [], [], [], [], []
+            rules, gaps, errs, within, times, ref_gaps, raised = Counter(), [], [], 0, [], [], 0
             for rep in range(reps):
-                obs = generate_observations(ORIGIN, spec, n, derive_rng(seed, k, n, rep))
-                ref = reference_mse(obs, theta)
+                obs = generate_observations(ORIGIN, spec, n, derive_rng(seed, n, rep))
                 try:
-                    new, dt = timed(lambda: attack(obs, ORIGIN, None), calls)
-                    old, dt_old = timed(lambda: old_attack(obs), calls)
+                    report, dt = timed(lambda: attack(obs, ORIGIN, None), calls)
                 except inference.DiagnosticsFailed:
-                    rules.add("DiagnosticsFailed")
+                    raised += 1
                     continue
-                rules.add(f"{new.rule} ({new.nodes})")
-                gaps.append(new.rule_gap)
-                err_new.append(abs(new.posterior_mse - ref) / ref)
-                err_old.append(abs(old - ref) / ref)
-                t_new.append(dt)
-                t_old.append(dt_old)
-            if not gaps:
-                print(f"| {setting_tag(spec)} | {n} | {', '.join(sorted(rules))} | | | | | |")
+                ref = reference_mse(obs, theta, ref_nodes)
+                ref_gaps.append(abs(ref - reference_mse(obs, theta, 2 * ref_nodes)) / ref)
+                err = abs(report.posterior_mse - ref) / ref
+                rules[f"{report.rule} ({report.nodes})"] += 1
+                gaps.append(report.rule_gap)
+                errs.append(err)
+                within += err <= 2.0 * report.rule_gap + ROUNDING
+                times.append(dt)
+            rule_text = ", ".join(f"{k}: {v}" for k, v in sorted(rules.items()))
+            if not errs:
+                print(f"| {setting_tag(spec)} | {n} | | {raised}/{reps} | | | | | |")
                 continue
             print(
-                f"| {setting_tag(spec)} | {n} | {', '.join(sorted(rules))} | {max(gaps):.1e} | "
-                f"{max(err_new):.1e} | {max(err_old):.1e} | {1e3 * statistics.median(t_new):.2f} | "
-                f"{1e3 * statistics.median(t_old):.2f} |"
+                f"| {setting_tag(spec)} | {n} | {rule_text} | {raised}/{reps} | {max(gaps):.1e} | "
+                f"{max(errs):.1e} | {within}/{len(errs)} | {1e3 * statistics.median(times):.2f} | "
+                f"{max(ref_gaps):.1e} |"
             )
 
 
@@ -219,17 +225,24 @@ def random_radius_rows(settings, sizes, reps, calls, seed):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--replicates", type=int, default=3)
-    ap.add_argument("--sizes", type=int, nargs="+", default=[1, 2, 3, 50, 200, 1600])
+    ap.add_argument("--replicates", type=int, default=6)
+    ap.add_argument("--sizes", type=int, nargs="+", help="two-balls sizes for every setting, in place of the defaults")
+    ap.add_argument("--rr-sizes", type=int, nargs="+", default=[50, 200, 1600])
     ap.add_argument("--calls", type=int, default=3, help="calls per attack; the fastest is kept")
-    ap.add_argument("--seed", type=int, default=20261018)
+    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--ref-nodes", type=int, default=1024, help="Gauss-Jacobi nodes in u of the reference")
     ap.add_argument("--skip-extra", action="store_true", help="only the six study settings")
+    ap.add_argument("--skip-rr", action="store_true", help="no random-radius rows")
     args = ap.parse_args()
-    settings = TABLE1_SETTINGS + (() if args.skip_extra else EXTRA_SETTINGS)
-    print("two-balls: polar rule against a 256 x 512 polar reference\n")
-    two_balls_rows(settings, args.sizes, args.replicates, args.calls, args.seed)
-    print("\nrandom-radius: Gauss-Hermite rule against a 256^2 grid on mode +- 8 sd\n")
-    random_radius_rows(TABLE1_SETTINGS, [n for n in args.sizes if n >= 40] or [50], args.replicates, args.calls, args.seed)
+    cases = [(spec, STUDY_SIZES) for spec in TABLE1_SETTINGS] + ([] if args.skip_extra else list(EXTRA_CASES))
+    if args.sizes:
+        cases = [(spec, tuple(args.sizes)) for spec, _ in cases]
+    n_ref = args.ref_nodes
+    print(f"two-balls: polar rule against a {n_ref} x {2 * n_ref} polar reference\n")
+    two_balls_rows(cases, args.replicates, args.calls, args.seed, n_ref)
+    if not args.skip_rr:
+        print("\nrandom-radius: Gauss-Hermite rule against a 256^2 grid on mode +- 8 sd\n")
+        random_radius_rows(TABLE1_SETTINGS, args.rr_sizes, args.replicates, args.calls, args.seed)
 
 
 if __name__ == "__main__":
