@@ -2,36 +2,32 @@
 apart from them.
 
 For each two-balls setting x n it prints, over the replicates, the polar
-rule sizes the attack accepted (N Gauss-Jacobi nodes in u by 2N angles,
-or "none" for the closed form at n = 1) with their counts, how many
-attacks raised DiagnosticsFailed, the largest gap to the half-size rule,
-the largest relative MSE error against a reference, how many certified
-attacks lie within twice their reported gap of it (give or take
-ROUNDING), the median per-attack time (best of --calls calls each), and
-the reference's own largest relative MSE gap to the rule of twice its
-size. The reference is a
---ref-nodes x (2 --ref-nodes) Gauss-Jacobi x trapezoid rule built from the
-public pointwise `tb_log_posterior` with `core.jacobi_rule`'s nodes (whose
-Beta moments the tests check to 1e-12 up to 1024 nodes; scipy's
-roots_jacobi is off by 5e-11 at 512 nodes for b = 0.5). At n = 1 it
-integrates the offset from the unknown center, which the closed form
-replaced.
+rule sizes the attack accepted (N Gauss-Jacobi nodes in u by 2N angles)
+with their counts, how many attacks raised DiagnosticsFailed, the
+largest gap to the half-size rule, the largest relative MSE error against
+a reference, how many certified attacks lie within twice their reported
+gap of it (give or take ROUNDING), the median per-attack time (best of
+--calls calls each), and the reference's own largest relative MSE gap to
+the rule of twice its size. The reference is a REF_NODES x (2 REF_NODES)
+Gauss-Jacobi x trapezoid rule built from the public pointwise
+`tb_log_posterior` with `core.jacobi_rule`'s nodes (whose Beta moments
+the tests check to 1e-12 up to 1024 nodes; scipy's roots_jacobi is off
+by 5e-11 at 512 nodes for b = 0.5).
 
-By default it measures the six study settings at n = 6400 and 25600, and
-three shapes whose b < 1 piles the posterior at the support's edge, two
-of them with exits near the support: (2, 3, 2, 0.3) at n = 200,
-(1, 5, 4, 0.5) at n = 6400 and (2.9, 3, 4, 0.5) at n = 5 and 50.
-Replicate rep at size n draws its exits from derive_rng(seed, n, rep).
+It measures the six study settings at STUDY_SIZES and, unless
+--skip-extra, the EXTRA_CASES: three shapes whose b < 1 piles the
+posterior at the support's edge, two of them with exits near the
+support. Replicate rep at size n draws its exits from
+derive_rng(seed, n, rep).
 
-For random-radius, with the Gamma matched to each study setting, it prints
-the same for the 16 x 16 Gauss-Hermite rule against a 256^2 midpoint grid
-on the Laplace fit's mode +- 8 sd; "old" is the 64^2 grid on that window
-(the attack before the Gauss rules).
+For random-radius, with the Gamma matched to each study setting, at
+RR_SIZES, it prints the same for the 16 x 16 Gauss-Hermite rule against a
+256^2 midpoint grid on the Laplace fit's mode +- 8 sd; "old" is the 64^2
+grid on that window (the attack before the Gauss rules).
 
 Run from the root of a checkout:
 
-    PYTHONPATH=src python tools/rule_table.py --replicates 6
-    PYTHONPATH=src python tools/rule_table.py --sizes 2 3 50 --skip-extra --ref-nodes 256
+    PYTHONPATH=src python tools/rule_table.py
 """
 
 import argparse
@@ -46,8 +42,6 @@ from privregion import inference
 from privregion.core import BetaParams, Point, derive_rng, jacobi_rule
 from privregion.experiments import TABLE1_SETTINGS, setting_tag
 from privregion.inference import (
-    CenterArc,
-    UniqueCenter,
     attack,
     grid_posterior,
     recover_center,
@@ -55,22 +49,23 @@ from privregion.inference import (
     tb_log_posterior,
 )
 from privregion.strategies import (
-    ExitObservationSet,
     RandomRadius,
     TwoBalls,
     calibrate_random_radius,
     generate_observations,
 )
 
-# (setting, default sizes) of the shapes beyond the study's
+# (setting, sizes) of the shapes beyond the study's
 EXTRA_CASES = (
     (TwoBalls(2.0, 3.0, BetaParams(2.0, 0.3)), (200,)),
     (TwoBalls(1.0, 5.0, BetaParams(4.0, 0.5)), (6400,)),
     (TwoBalls(2.9, 3.0, BetaParams(4.0, 0.5)), (5, 50)),
 )
 STUDY_SIZES = (6400, 25600)
+RR_SIZES = (50, 200, 1600)
 ORIGIN = Point(0.0, 0.0)
-# nodes in u per block of the reference, which bounds its memory
+# nodes in u of the reference, and per block of it, which bounds its memory
+REF_NODES = 1024
 REF_BLOCK = 32
 # the relative MSE error that rounding alone leaves an attack and the
 # reference apart by: "within 2 gap" means err <= 2 gap + ROUNDING
@@ -109,21 +104,9 @@ def polar_reference(obs, c, N):
 
 
 def reference_mse(obs, theta, N):
-    spec = obs.strategy
-    est = recover_center(obs.positions, spec.R)
-    if isinstance(est, CenterArc):
-        R = spec.R
-        one = ExitObservationSet(spec, [[-R, 0.0]], [[0.0, 0.0]], [R], [R * R])
-        _, m, cov = polar_reference(one, np.zeros(2), N)
-        return float(((est.base.as_array() - theta) ** 2).sum() + (m[0] + R) ** 2 + m[1] ** 2 + np.trace(cov))
-    centers = (est.center,) if isinstance(est, UniqueCenter) else (est.plus, est.minus)
-    parts = [polar_reference(obs, cpt.as_array(), N) for cpt in centers]
-    lm = np.array([p[0] for p in parts])
-    wts = np.exp(lm - lm.max())
-    wts /= wts.sum()
-    mean = sum(w * p[1] for w, p in zip(wts, parts))
-    var = sum(w * (np.trace(p[2]) + ((p[1] - mean) ** 2).sum()) for w, p in zip(wts, parts))
-    return float(((mean - theta) ** 2).sum() + var)
+    center = recover_center(obs.positions, obs.strategy.R).center
+    _, mean, cov = polar_reference(obs, center.as_array(), N)
+    return float(((mean - theta) ** 2).sum() + np.trace(cov))
 
 
 def laplace_grid(obs):
@@ -157,7 +140,7 @@ def timed(fn, calls):
     return out, best
 
 
-def two_balls_rows(cases, reps, calls, seed, ref_nodes):
+def two_balls_rows(cases, reps, calls, seed):
     theta = ORIGIN.as_array()
     print("| setting | n | rule (N): count | raised | gap | err | within 2 gap | ms | ref gap |")
     print("|---|---|---|---|---|---|---|---|---|")
@@ -171,8 +154,8 @@ def two_balls_rows(cases, reps, calls, seed, ref_nodes):
                 except inference.DiagnosticsFailed:
                     raised += 1
                     continue
-                ref = reference_mse(obs, theta, ref_nodes)
-                ref_gaps.append(abs(ref - reference_mse(obs, theta, 2 * ref_nodes)) / ref)
+                ref = reference_mse(obs, theta, REF_NODES)
+                ref_gaps.append(abs(ref - reference_mse(obs, theta, 2 * REF_NODES)) / ref)
                 err = abs(report.posterior_mse - ref) / ref
                 rules[f"{report.rule} ({report.nodes})"] += 1
                 gaps.append(report.rule_gap)
@@ -226,23 +209,15 @@ def random_radius_rows(settings, sizes, reps, calls, seed):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--replicates", type=int, default=6)
-    ap.add_argument("--sizes", type=int, nargs="+", help="two-balls sizes for every setting, in place of the defaults")
-    ap.add_argument("--rr-sizes", type=int, nargs="+", default=[50, 200, 1600])
     ap.add_argument("--calls", type=int, default=3, help="calls per attack; the fastest is kept")
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--ref-nodes", type=int, default=1024, help="Gauss-Jacobi nodes in u of the reference")
     ap.add_argument("--skip-extra", action="store_true", help="only the six study settings")
-    ap.add_argument("--skip-rr", action="store_true", help="no random-radius rows")
     args = ap.parse_args()
     cases = [(spec, STUDY_SIZES) for spec in TABLE1_SETTINGS] + ([] if args.skip_extra else list(EXTRA_CASES))
-    if args.sizes:
-        cases = [(spec, tuple(args.sizes)) for spec, _ in cases]
-    n_ref = args.ref_nodes
-    print(f"two-balls: polar rule against a {n_ref} x {2 * n_ref} polar reference\n")
-    two_balls_rows(cases, args.replicates, args.calls, args.seed, n_ref)
-    if not args.skip_rr:
-        print("\nrandom-radius: Gauss-Hermite rule against a 256^2 grid on mode +- 8 sd\n")
-        random_radius_rows(TABLE1_SETTINGS, args.rr_sizes, args.replicates, args.calls, args.seed)
+    print(f"two-balls: polar rule against a {REF_NODES} x {2 * REF_NODES} polar reference\n")
+    two_balls_rows(cases, args.replicates, args.calls, args.seed)
+    print("\nrandom-radius: Gauss-Hermite rule against a 256^2 grid on mode +- 8 sd\n")
+    random_radius_rows(TABLE1_SETTINGS, RR_SIZES, args.replicates, args.calls, args.seed)
 
 
 if __name__ == "__main__":
