@@ -7,9 +7,6 @@ location from the published exit points, and measures the privacy each
 strategy buys at matched utility cost.
 """
 
-# Names are imported from these submodules. Loading them here, in this
-# order, keeps scipy.special behind core: `experiments` imports it first
-# otherwise, and the resident size after import grows by about 1.5 MB.
 from . import core, harmonic, inference, strategies, trajectory, experiments
 
 __version__ = "0.1.0"

@@ -19,10 +19,9 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from . import _svg
-from .core import BetaParams, Point, derive_rng
+from .core import BetaParams, Point, derive_rng, gammaincinv
 from .inference import attack
 from .strategies import (
     CalibrationResult,
@@ -393,7 +392,7 @@ def run_curve(config: ScenarioConfig) -> StudyResult:
     # larger of their 0.995 quantiles: a bin's mass is the difference of
     # sp_cdf at its edges.
     gamma = specs[_STRAT_RR].gamma
-    hi = float(gammaincinv(gamma.alpha, 0.995)) / gamma.beta
+    hi = gammaincinv(gamma.alpha, 0.995) / gamma.beta
     if sp_cdf(tb, hi) < 0.995:  # the two-balls quantile is the larger one
         hi = _quantile_above(tb, 0.995, hi)
     edges = np.linspace(0.0, hi, 61)

@@ -64,9 +64,8 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.special import betaln, gammainccinv, gammaln
 
-from .core import Point, as_xy, fit_circle_center, jacobi_rule
+from .core import Point, as_xy, betaln, fit_circle_center, gammainccinv, jacobi_rule
 from .strategies import ExitObservationSet, FixedRadius, RandomRadius, TwoBalls, sp_mean
 
 __all__ = [
@@ -111,6 +110,10 @@ CENTER_FIT_RTOL = 1e-6
 # random-radius target at 1600 exits on a 2-core AMD EPYC, against 6.1 ns
 # at 2^15 and 6.2 ns at 2^17.
 PAIR_BUDGET = 2**14
+# glibc's malloc returns freed heap to the system once 128 KB lie free, until it frees a
+# block it had mapped, then keeps twice that. One 4 MB array mapped and freed here keeps
+# these blocks' pages mapped: 4 minor faults per table1 attack, against 19 without it.
+np.empty(2**19)
 
 # The local expansion keeps K terms, x^K <= SERIES_TOL at the largest ratio
 # x of the reach to a far exit's distance: below the rounding of any float
@@ -516,7 +519,7 @@ def _rr_target(z: np.ndarray, alpha: float, beta: float, window):
     sep = _sep_expansion(z, m, 0.5 * math.hypot(x1 - x0, y1 - y0))
     u = z - m
     slope = 2.0 * beta * u.sum(axis=0)
-    const = n * (alpha * math.log(beta) - float(gammaln(alpha)) - math.log(math.pi))
+    const = n * (alpha * math.log(beta) - math.lgamma(alpha) - math.log(math.pi))
     const -= beta * float((u * u).sum())
 
     def target(pts: np.ndarray) -> np.ndarray:
@@ -565,7 +568,7 @@ def tb_log_posterior(theta, c, obs: ExitObservationSet):
         t2i = t2[inside]
         u = np.clip(t2i / (r * r), 1e-15, 1.0 - 1e-15)
         out[inside] = (
-            -float(betaln(alpha, beta))
+            -betaln(alpha, beta)
             - math.log(math.pi * r * r)
             - n * math.log(2.0 * math.pi * R)
             + (alpha - 1.0) * np.log(u)
@@ -897,7 +900,7 @@ def quadrature_window(obs: ExitObservationSet):
     if not isinstance(spec, RandomRadius):
         raise TypeError(f"no quadrature window for {type(spec).__name__}")
     a, b = spec.gamma.alpha, spec.gamma.beta
-    return _reach_box(obs.positions, math.sqrt(float(gammainccinv(a, RR_TAIL)) / b))
+    return _reach_box(obs.positions, math.sqrt(gammainccinv(a, RR_TAIL) / b))
 
 
 def _trace(cov: np.ndarray) -> float:
@@ -1078,7 +1081,7 @@ def _attack_fixed(obs: ExitObservationSet):
 
 def _radius_sd(alpha: float, beta: float) -> float:
     """sd of one random-radius region's radius r, r^2 ~ Gamma(alpha, beta)."""
-    mean_r2 = math.exp(2.0 * (float(gammaln(alpha + 0.5)) - float(gammaln(alpha))))
+    mean_r2 = math.exp(2.0 * (math.lgamma(alpha + 0.5) - math.lgamma(alpha)))
     return math.sqrt(max(alpha - mean_r2, 0.0) / beta)
 
 

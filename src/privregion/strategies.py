@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import betaln, gammainc
 
 from . import harmonic
-from .core import BetaParams, Disk, GammaParams, Point, as_xy, jacobi_rule, sample_beta, sample_gamma
+from .core import BetaParams, Disk, GammaParams, Point, as_xy, betaln, gammainc, jacobi_rule, sample_beta, sample_gamma
 from .trajectory import CutResult, Trajectory, cut_privacy_region
 
 __all__ = [

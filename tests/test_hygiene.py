@@ -115,3 +115,15 @@ def test_private_names_and_constants_are_read():
         if name not in read
     ]
     assert unread == []
+
+
+def test_package_does_not_import_scipy():
+    # scipy is a test-only reference; tests/test_import_footprint.py also
+    # runs the package with scipy unimportable
+    hits = [
+        f"{p.relative_to(ROOT)}:{i}"
+        for p in sorted(PACKAGE.rglob("*.py"))
+        for i, line in enumerate(p.read_text().splitlines(), 1)
+        if "import scipy" in line or "from scipy" in line
+    ]
+    assert hits == []

@@ -1,8 +1,9 @@
 """What `import privregion` loads, measured in a fresh interpreter.
 
 Start-up time and resident size follow from the modules an import pulls
-in. scipy.special is the one scipy subpackage the package needs; another,
-scipy.linalg above all (about 6 MB resident), must not come in by the way.
+in. The package runs on numpy alone: scipy, whose special-function module
+was most of both, is a test-only reference and must not come back, neither
+at import nor inside a function that imports it on first use.
 """
 
 import json
@@ -17,17 +18,51 @@ PROBE = """
 import json, sys
 import privregion
 from privregion import core, harmonic, inference, strategies, trajectory, experiments
-subpackages = sorted(
-    name.split(".")[1]
-    for name, mod in sys.modules.items()
-    if name.startswith("scipy.") and name.count(".") == 1
-    and not name.split(".")[1].startswith("_") and hasattr(mod, "__path__")
-)
-print(json.dumps(subpackages))
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+
+# Every path that reaches a special function, with scipy unimportable: the
+# study and the curve at their smallest (the curve's SP histogram takes the
+# Gamma quantile and sp_cdf), a random-radius attack at n = 6, whose box
+# takes quadrature_window's Gamma tail, and a Gauss-Jacobi rule that no
+# earlier call built.
+BLOCKED = """
+import sys, tempfile
+from importlib.abc import MetaPathFinder
+
+class RefuseScipy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+
+from privregion import experiments, inference
+from privregion.core import GammaParams, Point, derive_rng, jacobi_rule
+from privregion.strategies import RandomRadius, generate_observations
+
+with tempfile.TemporaryDirectory() as out:
+    small = dict(n_replicates=1, n_trajectories=5, settings=experiments.TABLE1_SETTINGS[:1], threads=1)
+    experiments.run_table1(experiments.ScenarioConfig(master_seed=5, out_dir=out + "/t", **small))
+    experiments.run_curve(experiments.ScenarioConfig(master_seed=5, out_dir=out + "/c", sample_sizes=(5, 10), **small))
+obs = generate_observations(Point(0.0, 0.0), RandomRadius(GammaParams(4.0, 4.0)), 6, derive_rng(5, 6))
+report = inference.attack(obs, Point(0.0, 0.0), None)
+assert report.rule == "midpoint", report.rule
+u, w = jacobi_rule(37, 2.5, 0.7)
+assert abs(w.sum() - 1.0) < 1e-14
+print("ok")
 """
 
 
-def test_only_scipy_special_is_loaded():
+def _run(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True)
-    assert json.loads(out.stdout) == ["special"]
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_no_scipy_module_is_loaded():
+    assert json.loads(_run(PROBE)) == []
+
+
+def test_runs_with_scipy_blocked():
+    assert _run(BLOCKED).split() == ["ok"]

@@ -985,17 +985,13 @@ def _polar_reference(obs, c, N=256):
     log-posterior: the Beta weight u^(a-1) (1-u)^(b-1) that the Jacobi
     weights carry is divided out of tb_log_posterior at every node. The
     rule's constant factors are the same for every center of one spec.
-    Up to 256 nodes they are scipy's roots_jacobi; larger rules take
-    core.jacobi_rule, whose moments test_jacobi_rule_is_exact_at_large_n
-    checks, as roots_jacobi's Beta moments are off by 5e-11 at 512 nodes
-    for b = 0.5."""
+    The nodes are core.jacobi_rule's at every N: test_jacobi_rule_has_scipys_nodes
+    pins them to scipy's roots_jacobi, and test_jacobi_rule_is_exact_at_large_n
+    holds their Beta moments to 1e-12, where roots_jacobi's are off by 2.7e-11
+    at (2, 0.3) and 256 nodes."""
     spec = obs.strategy
     r, a, b = spec.r, spec.beta.alpha, spec.beta.beta
-    if N <= 256:
-        x, w = roots_jacobi(N, b - 1.0, a - 1.0)
-        u = 0.5 * (1.0 + x)
-    else:
-        u, w = jacobi_rule(N, a, b)
+    u, w = jacobi_rule(N, a, b)
     phi = math.pi * np.arange(2 * N) / N
     ring = np.column_stack([np.cos(phi), np.sin(phi)])
     pts = (c + (r * np.sqrt(u))[:, None, None] * ring).reshape(-1, 2)
