@@ -24,6 +24,7 @@ __all__ = [
     "sample_gamma",
     "sample_beta",
     "jacobi_rule",
+    "hermegauss",
     "betaln",
     "gammainc",
     "gammaincinv",
@@ -170,6 +171,39 @@ def jacobi_rule(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarr
     u.setflags(write=False)
     w.setflags(write=False)
     return u, w
+
+
+def _hermite_normalized(n: int, x: np.ndarray) -> np.ndarray:
+    """He_n(x) / sqrt(n! sqrt(2 pi)), the orthonormal Hermite polynomial of
+    the normal law's weight, by its recurrence run down from degree n."""
+    c1 = 1.0 / math.sqrt(math.sqrt(2.0 * math.pi))
+    if n == 0:
+        return np.full(x.shape, c1)
+    c0, nd = 0.0, float(n)
+    for _ in range(n - 1):
+        c0, c1 = -c1 * math.sqrt((nd - 1.0) / nd), c0 + c1 * x * math.sqrt(1.0 / nd)
+        nd -= 1.0
+    return c0 + c1 * x
+
+
+def hermegauss(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """N-node Gauss rule of the weight exp(-x^2 / 2): nodes, and weights
+    summing to sqrt(2 pi). The same algorithm, and the same bits, as
+    numpy.polynomial.hermite_e.hermegauss, without loading that package:
+    the eigenvalues of the symmetric tridiagonal Jacobi matrix (off-diagonal
+    sqrt(k)), one Newton step on the orthonormal He_N, weights
+    1 / He_(N-1)^2 scaled by their largest term, then nodes and weights
+    symmetrized about 0."""
+    off = np.sqrt(np.arange(1.0, N))
+    x = np.linalg.eigvalsh(np.diag(off, -1) + np.diag(off, 1))
+    x -= _hermite_normalized(N, x) / (_hermite_normalized(N - 1, x) * math.sqrt(N))
+    fm = _hermite_normalized(N - 1, x)
+    fm /= np.abs(fm).max()
+    w = 1.0 / (fm * fm)
+    w = (w + w[::-1]) / 2.0
+    x = (x - x[::-1]) / 2.0
+    w *= math.sqrt(2.0 * math.pi) / w.sum()
+    return x, w
 
 
 # Special functions from numpy and math alone; log Gamma is math.lgamma. The

@@ -11,9 +11,7 @@ bench.csv); every other CSV is byte-reproducible for a given config.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping
@@ -183,6 +181,9 @@ def _attack_task(args) -> tuple[float, float, float, float, float]:
 def _run_tasks(tasks: list, threads: int) -> list:
     if threads <= 1 or len(tasks) <= 1:
         return [_attack_task(t) for t in tasks]
+    # the pool's modules (multiprocessing, logging, socket) load only here
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         chunk = max(1, len(tasks) // (8 * threads))
         return list(pool.map(_attack_task, tasks, chunksize=chunk))
@@ -227,8 +228,21 @@ def _write_results(out_dir: Path, stem: str, rows: list[ResultRow]) -> dict[str,
 
 
 def _quantiles(values: list[float]) -> tuple[float, float, float]:
-    q = np.quantile(np.asarray(values, dtype=float), [0.05, 0.5, 0.95])
-    return float(q[0]), float(q[1]), float(q[2])
+    """The 5%, 50% and 95% quantiles, to the bit as np.quantile's default
+    linear method forms them. With a and b the sorted values either side of
+    h = (n - 1) q and t = h - floor(h), that is a + (b - a) t below t = 0.5
+    and b - (b - a) (1 - t) from there on."""
+    v = sorted(float(x) for x in values)
+    out = []
+    for q in (0.05, 0.5, 0.95):
+        h = (len(v) - 1) * q
+        i = math.floor(h)
+        if i >= len(v) - 1:
+            out.append(v[-1])
+            continue
+        a, b, t = v[i], v[i + 1], h - i
+        out.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+    return out[0], out[1], out[2]
 
 
 def _calibration_rows(settings, calibs) -> list[list]:
@@ -541,6 +555,8 @@ def load_config(path=None, **overrides) -> ScenarioConfig:
     """
     data: dict = {}
     if path is not None:
+        import json
+
         p = Path(path)
         try:
             data = json.loads(p.read_text(encoding="utf-8"))

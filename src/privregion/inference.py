@@ -63,9 +63,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
-from .core import Point, as_xy, betaln, fit_circle_center, gammainccinv, jacobi_rule
+from .core import Point, as_xy, betaln, fit_circle_center, gammainccinv, hermegauss, jacobi_rule
 from .strategies import ExitObservationSet, FixedRadius, RandomRadius, TwoBalls, sp_mean
 
 __all__ = [
@@ -899,8 +898,13 @@ def quadrature_window(obs: ExitObservationSet):
     spec = obs.strategy
     if not isinstance(spec, RandomRadius):
         raise TypeError(f"no quadrature window for {type(spec).__name__}")
-    a, b = spec.gamma.alpha, spec.gamma.beta
-    return _reach_box(obs.positions, math.sqrt(gammainccinv(a, RR_TAIL) / b))
+    return _reach_box(obs.positions, math.sqrt(_gamma_tail(spec.gamma.alpha) / spec.gamma.beta))
+
+
+@functools.lru_cache(maxsize=256)
+def _gamma_tail(a: float) -> float:
+    """The upper RR_TAIL quantile of the Gamma(a, 1) law, once per shape."""
+    return gammainccinv(a, RR_TAIL)
 
 
 def _trace(cov: np.ndarray) -> float:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -240,11 +239,23 @@ def _gauss_rule(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return x, math.exp(betaln(alpha + 1.0, beta + 1.0)) * w
 
 
-def _square(x: Fraction) -> tuple[float, float]:
-    """x^2 as the float nearest it and the float nearest what that leaves."""
-    sq = x * x
-    near = float(sq)
-    return near, float(sq - Fraction(near))
+def _square(num: int, den: int) -> tuple[float, float]:
+    """(num / den)^2 as the float nearest it and the float nearest what that
+    leaves, from exact integers: Python's int true division rounds
+    correctly, as float() of a Fraction does."""
+    sq_den = den * den
+    near = num * num / sq_den
+    m, e = near.as_integer_ratio()
+    return near, (num * num * e - m * sq_den) / (sq_den * e)
+
+
+def _exact_squares(r: float, big_r: float) -> tuple[tuple[float, float], ...]:
+    """R^2, (R - r)^2 and (R + r)^2, each as `_square` gives it. Both floats
+    are integers over one power of two, so R +- r are exact."""
+    (nr, dr), (nR, dR) = float(r).as_integer_ratio(), float(big_r).as_integer_ratio()
+    den = max(dr, dR)
+    nr, nR = nr * (den // dr), nR * (den // dR)
+    return _square(nR, den), _square(nR - nr, den), _square(nR + nr, den)
 
 
 def _two_balls_cdf(spec: TwoBalls, s: np.ndarray) -> np.ndarray:
@@ -273,16 +284,13 @@ def _two_balls_cdf(spec: TwoBalls, s: np.ndarray) -> np.ndarray:
     r, big_r, a, b = spec.r, spec.R, spec.beta.alpha, spec.beta.beta
     # s - R^2, s - (R - r)^2 and (R + r)^2 - s to full precision near those
     # squares: each is the float nearest it plus the float nearest the rest
-    exact_r, exact_big_r = Fraction(r), Fraction(big_r)
-    r2, r2_err = _square(exact_big_r)
+    (r2, r2_err), (lo2, lo2_err), (hi2, hi2_err) = _exact_squares(r, big_r)
     gap = (s - r2) - r2_err
     above = gap >= 0.0
     out = above.astype(float)
     live = np.flatnonzero((s > (big_r - r) ** 2) & (s < (big_r + r) ** 2))
     root = np.sqrt(s[live])
     tk = np.abs(gap[live]) / ((root + big_r) * r)
-    lo2, lo2_err = _square(exact_big_r - exact_r)
-    hi2, hi2_err = _square(exact_big_r + exact_r)
     tk_comp = np.where(  # 1 - t_k
         above[live],
         ((hi2 - s[live]) + hi2_err) / ((root + (big_r + r)) * r),

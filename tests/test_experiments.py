@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privregion import experiments, strategies
 from privregion.cli import main
@@ -161,6 +163,22 @@ _DETERMINED = {
     run_table1: ("results", "summary", "calibration"),
     run_curve: ("curve_results", "curve_summary", "calibration", "sp_hist", "mse_curve_svg", "sp_hist_svg"),
 }
+
+
+# nonzero floats of both signs, 1e-300 to 1e300 in magnitude
+_MAGNITUDE = st.floats(1e-300, 1e300)
+_VALUE = st.builds(lambda m, neg: -m if neg else m, _MAGNITUDE, st.booleans())
+
+
+class TestQuantiles:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_VALUE, min_size=1, max_size=250), st.lists(st.integers(0, 249), max_size=250))
+    def test_is_np_quantile_bit_for_bit(self, values, repeats):
+        # the summary's quantiles, without the numpy.ma that np.quantile
+        # loads; repeats adds ties, up to 500 values in all
+        values += [values[i % len(values)] for i in repeats]
+        ref = np.quantile(np.asarray(values), [0.05, 0.5, 0.95])
+        assert [q.hex() for q in experiments._quantiles(values)] == [float(q).hex() for q in ref]
 
 
 class TestDeterminism:

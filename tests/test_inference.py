@@ -2,6 +2,7 @@ import math
 import tracemalloc
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss as numpy_hermegauss
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -9,7 +10,7 @@ from scipy import stats
 from scipy.special import betaln, roots_jacobi
 
 from privregion import inference
-from privregion.core import BetaParams, GammaParams, Point, derive_rng, jacobi_rule, make_rng
+from privregion.core import BetaParams, GammaParams, Point, derive_rng, hermegauss, jacobi_rule, make_rng
 from privregion.experiments import TABLE1_SETTINGS
 from privregion.harmonic import harmonic_log_density
 from privregion.inference import (
@@ -1107,6 +1108,13 @@ class TestGaussRules:
             x, ws = roots_jacobi(N, b - 1.0, a - 1.0)
             assert np.allclose(u, 0.5 * (1.0 + x), rtol=0.0, atol=1e-15)
             assert np.allclose(w, ws / ws.sum(), rtol=1e-9, atol=0.0)
+
+    def test_hermegauss_is_numpys_bit_for_bit(self):
+        # the package builds the Gauss-Hermite rule without numpy.polynomial,
+        # by the same steps, so the random-radius attack's numbers stay put
+        for N in range(2, 65):
+            for got, ref in zip(hermegauss(N), numpy_hermegauss(N)):
+                assert got.tobytes() == ref.tobytes(), N
 
     @pytest.mark.parametrize("a, b", [(4.0, 4.0), (4.0, 2.0), (2.0, 4.0), (4.0, 0.5), (2.0, 0.3)])
     def test_jacobi_rule_is_exact_at_large_n(self, a, b):

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from privregion import strategies
 from privregion.core import BetaParams, Disk, GammaParams, Point, derive_rng, gammainc, make_rng
 from privregion.experiments import TABLE1_SETTINGS, setting_tag
 from privregion.harmonic import PointNotOnBoundary, sample_exit_offsets
@@ -278,6 +281,23 @@ CDF_SHAPES = TABLE1_SETTINGS + tuple(
 
 
 class TestSpCdf:
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(1e-150, 1e150), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_exact_squares_are_the_fraction_ones(self, big_r, ratio):
+        # R^2, (R - r)^2 and (R + r)^2 with their rounding errors, in int
+        # arithmetic, against the same in Fraction arithmetic
+        r = big_r * ratio
+        assume(0.0 < r < big_r)
+
+        def square(x):
+            near = float(x * x)
+            return near, float(x * x - Fraction(near))
+
+        exact_r, exact_big_r = Fraction(r), Fraction(big_r)
+        ref = (square(exact_big_r), square(exact_big_r - exact_r), square(exact_big_r + exact_r))
+        got = strategies._exact_squares(r, big_r)
+        assert [[v.hex() for v in pair] for pair in got] == [[v.hex() for v in pair] for pair in ref]
+
     @pytest.mark.parametrize("tb", CDF_SHAPES, ids=setting_tag)
     def test_matches_adaptive_quadrature(self, tb):
         # 114 values across the support, and 6 within 1e-6 of R^2
