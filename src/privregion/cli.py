@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core import BetaParams, GammaParams, Point, derive_rng
+from .core import BetaParams, DegenerateConfiguration, GammaParams, Point, derive_rng
 from .experiments import (
     _TASK_ATTACK,
     ConfigError,
@@ -22,6 +22,7 @@ from .experiments import (
     run_obfuscate,
     run_table1,
 )
+from .harmonic import PointNotOnBoundary, ThetaOutsideRegion
 from .inference import DiagnosticsFailed, InconsistentExits, NoIntersection, attack
 from .strategies import (
     DegenerateVariance,
@@ -33,7 +34,15 @@ from .strategies import (
 from .trajectory import TrackFormatError
 
 _CONFIG_ERRORS = (ConfigError, TrackFormatError, OSError)
-_NUMERICAL_ERRORS = (DiagnosticsFailed, DegenerateVariance, InconsistentExits, NoIntersection)
+_NUMERICAL_ERRORS = (
+    DiagnosticsFailed,
+    DegenerateVariance,
+    DegenerateConfiguration,
+    InconsistentExits,
+    NoIntersection,
+    ThetaOutsideRegion,
+    PointNotOnBoundary,
+)
 
 
 def _add_common(p: argparse.ArgumentParser, replicates: bool = True) -> None:

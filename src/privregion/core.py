@@ -21,8 +21,6 @@ __all__ = [
     "BetaParams",
     "DegenerateConfiguration",
     "fit_circle_center",
-    "sample_gamma",
-    "sample_beta",
     "jacobi_rule",
     "hermegauss",
     "betaln",
@@ -324,16 +322,6 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
         raise ValueError(f"stream path components must be non-negative, got {path}")
     seq = np.random.SeedSequence(seed, spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(seq))
-
-
-def sample_gamma(params: GammaParams, rng: np.random.Generator, size=None):
-    """Draw from Gamma(alpha, rate beta): mean alpha/beta."""
-    return rng.gamma(shape=params.alpha, scale=1.0 / params.beta, size=size)
-
-
-def sample_beta(params: BetaParams, rng: np.random.Generator, size=None):
-    """Draw from Beta(alpha, beta) on [0, 1]."""
-    return rng.beta(params.alpha, params.beta, size=size)
 
 
 def fit_circle_center(points: np.ndarray, radius_known: float) -> tuple[Point, float]:

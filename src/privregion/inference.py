@@ -9,7 +9,8 @@ strategy yields a tractable unnormalized posterior:
 * two-balls: the Beta placement prior, under which the normalized squared
   offset ||theta - c||^2/r^2 of theta from the shared center c follows
   Beta(alpha, beta), times the product of disk exit densities; c itself is
-  pinned down by the exits (exactly, for three or more).
+  pinned down by the exits: exactly for three or more, up to a mirrored
+  pair of candidates for two, whose posteriors mix by their masses.
 
 Both likelihoods hold the exit term sum_i log|z_i - theta|^2, and both
 evaluate it through one local expansion of the 2-D log potential
@@ -45,8 +46,8 @@ visible mass. The attacks take no options: every rule size is a constant
 of this module.
 Fixed-radius regions need no integration at all: every region is centered
 on theta with the known radius, so theta is the circle center that
-`recover_center` finds, one point for three or more exits and in closed
-form for fewer.
+`recover_center` finds, one point for three or more exits and two equally
+likely points for two.
 
 `rwm_sample`, `split_r_hat`, `effective_sample_size` and `posterior_mse`
 (adaptive Metropolis and its diagnostics) are reached by no runner, CLI
@@ -73,10 +74,6 @@ __all__ = [
     "DiagnosticsFailed",
     "InconsistentExits",
     "NoIntersection",
-    "UniqueCenter",
-    "CenterPair",
-    "CenterArc",
-    "CenterEstimate",
     "PosteriorSamples",
     "AttackReport",
     "GridPosterior",
@@ -189,26 +186,6 @@ class NoIntersection(ValueError):
 
 
 @dataclass(frozen=True)
-class UniqueCenter:
-    center: Point
-
-
-@dataclass(frozen=True)
-class CenterPair:
-    plus: Point
-    minus: Point
-
-
-@dataclass(frozen=True)
-class CenterArc:
-    base: Point
-    radius: float
-
-
-CenterEstimate = UniqueCenter | CenterPair | CenterArc
-
-
-@dataclass(frozen=True)
 class PosteriorSamples:
     """Kept draws from one Metropolis run, plus convergence diagnostics.
 
@@ -258,14 +235,15 @@ class AttackReport:
     "midpoint" (the random-radius box grid) or "none" (exact: fixed-radius
     recovery, and one exit under any strategy).
     rule_gap is the gap of the accepted Gauss rule to its half-size rule
-    (`_rule_gap`), the larger of the two at a two-balls pair of candidate
+    (`_rule_gap`), of their mixtures at a two-balls pair of candidate
     centers. The box grid reports 0, meaning "not measured", not "exact".
     edge_mass is the share of posterior mass in the box grid's outermost
     ring of cells (0 for every Gauss rule). grids counts the rules
-    evaluated: the half-size check and every doubling of a Gauss rule, and
-    every midpoint grid, the Gauss rules before the box included. nodes is
-    the most nodes per axis of a rule that gave the posterior: Gauss nodes
-    in u for the polar rule, which has twice as many angles.
+    evaluated: the half-size check and every doubling of a Gauss rule, one
+    per candidate center per size, and every midpoint grid, the Gauss rules
+    before the box included. nodes is the most nodes per axis of a rule
+    that gave the posterior: Gauss nodes in u for the polar rule, which has
+    twice as many angles.
     """
 
     posterior_mean: Point
@@ -295,12 +273,14 @@ class AttackReport:
             raise ValueError(f"mse != bias2 + variance (gap {gap:g})")
 
 
-def recover_center(positions: np.ndarray, R: float) -> CenterEstimate:
-    """Where can the center of a radius-R circle be, given (n, 2) exits on it?
+def recover_center(positions: np.ndarray, R: float) -> np.ndarray:
+    """The candidate centers of a radius-R circle through (n, 2) exits, as
+    a (k, 2) array.
 
-    Three or more exits determine it (circle fit, residual checked against
-    CENTER_FIT_RTOL * R); two exits leave a pair of candidates; one exit a
-    whole circle of candidates.
+    Three or more exits determine it: one row (circle fit, residual checked
+    against CENTER_FIT_RTOL * R). Two exits leave two rows, the candidates
+    mirrored across the line through them. One exit leaves a whole circle
+    of candidates, which is a ValueError.
     """
     pts = np.asarray(positions, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -310,19 +290,19 @@ def recover_center(positions: np.ndarray, R: float) -> CenterEstimate:
         center, rms = fit_circle_center(pts, R)
         if rms > CENTER_FIT_RTOL * R:
             raise InconsistentExits(f"circle-fit rms {rms:g} exceeds {CENTER_FIT_RTOL * R:g}")
-        return UniqueCenter(center)
-    if n == 2:
-        d = float(np.hypot(*(pts[1] - pts[0])))
-        if d > 2.0 * R:
-            raise NoIntersection(f"exits {d:g} apart cannot share a radius-{R:g} circle")
-        if d == 0.0:
-            raise InconsistentExits("coincident exits; use the single-exit form")
-        mid = 0.5 * (pts[0] + pts[1])
-        u = (pts[1] - pts[0]) / d
-        q = math.sqrt(max(R * R - 0.25 * d * d, 0.0))
-        normal = np.array([-u[1], u[0]])
-        return CenterPair(Point(*(mid + q * normal)), Point(*(mid - q * normal)))
-    return CenterArc(Point(*pts[0]), R)
+        return np.array([[center.x, center.y]])
+    if n < 2:
+        raise ValueError(f"need two or more exits for finitely many candidate centers, got {n}")
+    d = float(np.hypot(*(pts[1] - pts[0])))
+    if d > 2.0 * R:
+        raise NoIntersection(f"exits {d:g} apart cannot share a radius-{R:g} circle")
+    if d == 0.0:
+        raise InconsistentExits("coincident exits; use the single-exit form")
+    mid = 0.5 * (pts[0] + pts[1])
+    u = (pts[1] - pts[0]) / d
+    q = math.sqrt(max(R * R - 0.25 * d * d, 0.0))
+    normal = np.array([-u[1], u[0]])
+    return np.array([mid + q * normal, mid - q * normal])
 
 
 def _theta_batch(theta) -> tuple[np.ndarray, bool]:
@@ -945,6 +925,21 @@ def _rule_gap(fine: _Moments, coarse: _Moments) -> float:
     )
 
 
+def _mix(parts: list[_Moments]) -> _Moments:
+    """The moments of the mixture of posteriors weighted by their masses,
+    by the law of total variance. One part passes through as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    lm = np.array([p.log_mass for p in parts])
+    peak = float(lm.max())
+    wts = np.exp(lm - peak)
+    total = float(wts.sum())
+    wts /= total
+    mean = sum(w * p.mean for w, p in zip(wts, parts))
+    cov = sum(w * (p.cov + np.outer(p.mean - mean, p.mean - mean)) for w, p in zip(wts, parts))
+    return _Moments(peak + math.log(total), mean, cov)
+
+
 @functools.lru_cache(maxsize=None)
 def _angle_moments(n: int) -> np.ndarray:
     """(n, 6) columns 1, cos, sin, cos^2, sin^2, cos sin at phi_l = 2 pi l / n."""
@@ -952,17 +947,6 @@ def _angle_moments(n: int) -> np.ndarray:
     cols = np.column_stack([np.ones(n), cos, sin, cos * cos, sin * sin, cos * sin])
     cols.setflags(write=False)
     return cols
-
-
-@functools.lru_cache(maxsize=None)
-def _hermite_rule(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """N-node Gauss-Hermite rule of the standard normal law: nodes and
-    weights summing to 1."""
-    x, w = hermegauss(N)
-    w = w / w.sum()
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
 
 
 @functools.lru_cache(maxsize=256)
@@ -1004,19 +988,25 @@ def _polar_rule(sep, n: int, c: np.ndarray, r: float, R: float, alpha: float, be
     return _Moments(log_mass, c + m1, cov)
 
 
-def _tb_disk(z: np.ndarray, c: np.ndarray, r: float, R: float, alpha: float, beta: float):
-    """(moments, quadrature) of the two-balls posterior on the disk B(c, r).
+def _tb_disk(z: np.ndarray, centers: np.ndarray, r: float, R: float, alpha: float, beta: float):
+    """(moments, quadrature) of the two-balls posterior on the support disks
+    B(c, r) of the candidate centers c, rows of `centers`: the mixture of
+    one polar rule per candidate (`_mix`).
 
-    The polar rule starts at POLAR_START nodes and doubles until it is
-    within RULE_RTOL of its half-size rule. Raises DiagnosticsFailed when
-    POLAR_CAP nodes are not.
+    The polar rules start at POLAR_START nodes and double until their
+    mixture is within RULE_RTOL of the mixture of the half-size rules.
+    Raises DiagnosticsFailed when POLAR_CAP nodes are not.
     """
-    sep = _sep_expansion(z, c, r)
-    N, grids = POLAR_START, 1
-    coarse = _polar_rule(sep, len(z), c, r, R, alpha, beta, N // 2)
+    seps = [_sep_expansion(z, c, r) for c in centers]
+
+    def rule(N: int) -> _Moments:
+        return _mix([_polar_rule(sep, len(z), c, r, R, alpha, beta, N) for sep, c in zip(seps, centers)])
+
+    N, grids = POLAR_START, len(centers)
+    coarse = rule(N // 2)
     while True:
-        fine = _polar_rule(sep, len(z), c, r, R, alpha, beta, N)
-        grids += 1
+        fine = rule(N)
+        grids += len(centers)
         gap = _rule_gap(fine, coarse)
         if gap <= RULE_RTOL:
             return fine, _Quadrature("polar", gap, 0.0, grids, N)
@@ -1030,13 +1020,15 @@ def _tb_disk(z: np.ndarray, c: np.ndarray, r: float, R: float, alpha: float, bet
 
 @functools.lru_cache(maxsize=None)
 def _hermite_nodes(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The N/2 x N/2 and the N x N Gauss-Hermite product rules, stacked:
-    nodes xi, (N^2 / 4 + N^2, 2), with the N/2 rule's first; the terms
-    |xi|^2 / 2 and log w_i w_j of each node's whitened log weight; and the
-    row where the N rule starts."""
+    """The N/2 x N/2 and the N x N Gauss-Hermite product rules of the
+    standard normal law, stacked: nodes xi, (N^2 / 4 + N^2, 2), with the N/2
+    rule's first; the terms |xi|^2 / 2 and log w_i w_j of each node's
+    whitened log weight, the weights of each rule summing to 1; and the row
+    where the N rule starts."""
     xis, halves, logws = [], [], []
     for size in (N // 2, N):
-        x, w = _hermite_rule(size)
+        x, w = hermegauss(size)
+        w = w / w.sum()
         xi = np.column_stack([np.repeat(x, size), np.tile(x, size)])
         xis.append(xi)
         halves.append(0.5 * (xi * xi).sum(axis=1))
@@ -1072,15 +1064,12 @@ def _hermite_rules(target, mode: np.ndarray, chol: np.ndarray) -> tuple[_Moments
 
 
 def _attack_fixed(obs: ExitObservationSet):
-    # theta is the center of a radius-r_star circle through every exit.
-    # Two exits leave the two candidates that mirror each other across the
-    # line z1z2, equally likely.
-    est = recover_center(obs.positions, obs.strategy.r_star)
-    exact = _Quadrature("none", 0.0, 0.0, 0, 0)
-    if isinstance(est, UniqueCenter):
-        return est.center.as_array(), 0.0, exact
-    plus, minus = est.plus.as_array(), est.minus.as_array()
-    return 0.5 * (plus + minus), float(((plus - minus) ** 2).sum()) / 4.0, exact
+    # theta is the center of a radius-r_star circle through every exit. Two
+    # exits leave the two candidates that mirror each other across the
+    # line z1z2, equally likely: point masses of equal mass.
+    centers = recover_center(obs.positions, obs.strategy.r_star)
+    post = _mix([_Moments(0.0, c, np.zeros((2, 2))) for c in centers])
+    return post.mean, _trace(post.cov), _Quadrature("none", 0.0, 0.0, 0, 0)
 
 
 def _radius_sd(alpha: float, beta: float) -> float:
@@ -1144,7 +1133,7 @@ def _attack_rr(obs: ExitObservationSet):
             chol = np.linalg.cholesky(cov)
             # the expansion's window holds every node of both rules, with
             # room for rounding at its corners
-            half = 1.001 * float(_hermite_rule(HERMITE_NODES)[0].max()) * np.abs(chol).sum(axis=1)
+            half = 1.001 * float(_hermite_nodes(HERMITE_NODES)[0].max()) * np.abs(chol).sum(axis=1)
             window = (mode[0] - half[0], mode[0] + half[0], mode[1] - half[1], mode[1] + half[1])
             coarse, fine = _hermite_rules(_rr_target(z, a, b, window), mode, chol)
             grids = 2
@@ -1162,32 +1151,9 @@ def _attack_rr(obs: ExitObservationSet):
 def _attack_tb(obs: ExitObservationSet):
     spec = obs.strategy
     z = obs.positions
-    r, R, a, b = spec.r, spec.R, spec.beta.alpha, spec.beta.beta
-    est = recover_center(z, R)
-    if isinstance(est, UniqueCenter):
-        post, quad = _tb_disk(z, est.center.as_array(), r, R, a, b)
-        return post.mean, _trace(post.cov), quad
-
-    # A pair of candidate centers (n = 2): the two posteriors mix by their
-    # masses, by the law of total variance.
-    parts = [_tb_disk(z, cpt.as_array(), r, R, a, b) for cpt in (est.plus, est.minus)]
-    quads = [q for _, q in parts]
-    quad = _Quadrature(
-        "polar",
-        max(q.rule_gap for q in quads),
-        0.0,
-        sum(q.grids for q in quads),
-        max(q.nodes for q in quads),
-    )
-    posts = [p for p, _ in parts]
-    lm = np.array([g.log_mass for g in posts])
-    wts = np.exp(lm - lm.max())
-    wts /= wts.sum()
-    mean = sum(w * g.mean for w, g in zip(wts, posts))
-    variance = float(
-        sum(w * (_trace(g.cov) + ((g.mean - mean) ** 2).sum()) for w, g in zip(wts, posts))
-    )
-    return mean, variance, quad
+    centers = recover_center(z, spec.R)
+    post, quad = _tb_disk(z, centers, spec.r, spec.R, spec.beta.alpha, spec.beta.beta)
+    return post.mean, _trace(post.cov), quad
 
 
 def attack(
@@ -1205,15 +1171,15 @@ def attack(
     strategy's mean SP (`strategies.sp_mean`), r_star^2 for fixed-radius,
     alpha/beta for random-radius and R^2 - r^2 a/(a + b) for two-balls.
     Fixed-radius: the circle center through the exits, exact for n >= 3;
-    the midpoint of the two candidates for n = 2, with the closed-form
-    variance of those candidates.
+    for n = 2 the two candidates as equal point masses, whose mean is
+    their midpoint.
     Random-radius: the Gauss-Hermite rule about the Laplace fit when the
     Gamma shape exceeds 1 and the posterior is narrow, else (or when the
     rule is not certified) the midpoint grid on the box the exits allow.
     Two-balls: center recovery first, then the polar rule on the support
-    disk around the center (n >= 3), or a mixture over the two candidate
-    centers (n = 2); DiagnosticsFailed when POLAR_CAP nodes do not certify
-    the rule.
+    disk around each candidate center, one for n >= 3 and two for n = 2,
+    mixed by their masses and certified as that mixture; DiagnosticsFailed
+    when POLAR_CAP nodes do not certify it.
 
     Each strategy's attack returns only the posterior, its mean and total
     variance, and how it was integrated. It is scored here, once, as

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import harmonic
-from .core import BetaParams, Disk, GammaParams, Point, as_xy, betaln, gammainc, jacobi_rule, sample_beta, sample_gamma
+from .core import BetaParams, Disk, GammaParams, Point, as_xy, betaln, gammainc, jacobi_rule
 from .trajectory import CutResult, Trajectory, cut_privacy_region
 
 __all__ = [
@@ -169,10 +169,16 @@ def _region_offsets(
     if isinstance(spec, FixedRadius):
         return np.zeros((n, 2)), np.full(n, spec.r_star)
     if isinstance(spec, RandomRadius):
-        radii = np.sqrt(sample_gamma(spec.gamma, rng, size=n))
+        # r^2 ~ Gamma(alpha, rate beta): numpy takes the scale 1/beta
+        radii = np.sqrt(rng.gamma(shape=spec.gamma.alpha, scale=1.0 / spec.gamma.beta, size=n))
+        if not radii.all():
+            raise harmonic.ThetaOutsideRegion(
+                f"an r^2 draw of {spec.gamma} underflowed to 0: theta is not strictly "
+                f"inside a radius-0 region"
+            )
         return np.zeros((n, 2)), radii
     if isinstance(spec, TwoBalls):
-        rho = np.sqrt(sample_beta(spec.beta, rng, size=n))
+        rho = np.sqrt(rng.beta(spec.beta.alpha, spec.beta.beta, size=n))
         tau = rng.uniform(0.0, 2.0 * math.pi, size=n)
         offsets = spec.r * rho[:, None] * np.column_stack([np.cos(tau), np.sin(tau)])
         return offsets, np.full(n, spec.R)

@@ -39,7 +39,6 @@ from privregion.experiments import (
 )
 from privregion.harmonic import harmonic_log_density, sample_exit_offsets
 from privregion.inference import (
-    UniqueCenter,
     attack,
     grid_posterior,
     quadrature_window,
@@ -270,11 +269,10 @@ def _oracle_gap(spec, k: int, n: int, theta: Point):
     report = attack(obs, theta, make_rng(ORACLE_SEED + 2 * k + 1))
 
     if isinstance(spec, TwoBalls):
-        c = recover_center(obs.positions, spec.R)
-        assert isinstance(c, UniqueCenter)
-        x, y, r = c.center.x, c.center.y, spec.r
+        ((x, y),) = recover_center(obs.positions, spec.R)
+        r = spec.r
         grid = grid_posterior(
-            lambda p: tb_log_posterior(p, c.center, obs), (x - r, x + r, y - r, y + r)
+            lambda p: tb_log_posterior(p, (x, y), obs), (x - r, x + r, y - r, y + r)
         )
     else:
         grid = grid_posterior(

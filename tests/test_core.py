@@ -16,10 +16,8 @@ from privregion.core import (
     derive_rng,
     fit_circle_center,
     make_rng,
-    sample_beta,
-    sample_gamma,
 )
-from privregion.strategies import TwoBalls, generate_observations
+from privregion.strategies import RandomRadius, TwoBalls, _region_offsets, generate_observations
 
 coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -185,7 +183,22 @@ class TestFitAgainstReference:
                     assert math.isfinite(center.x + center.y + rms)
 
 
+def sample_gamma(params, rng, size):
+    """r^2 of `size` random-radius regions, as the package draws them."""
+    _, radii = _region_offsets(RandomRadius(params), size, rng)
+    return radii**2
+
+
+def sample_beta(params, rng, size):
+    """|c - theta|^2 / r^2 of `size` two-balls centers (r = 1), as the
+    package draws them."""
+    offsets, _ = _region_offsets(TwoBalls(1.0, 2.0, params), size, rng)
+    return (offsets**2).sum(axis=1)
+
+
 class TestSamplers:
+    # the package's Gamma draws take the rate convention, and its Beta
+    # draws the placement law
     def test_gamma_moments(self):
         rng = make_rng(7)
         draws = sample_gamma(GammaParams(4.0, 4.0), rng, size=1_000_000)

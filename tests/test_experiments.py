@@ -610,6 +610,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert "DiagnosticsFailed" in err and "512-node polar rule" in err
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            # three exits of a 1e-9 circle 1e7 from the origin: their
+            # coordinates' rounding leaves them collinear to the circle fit
+            (
+                "--strategy fixed-radius --r-star 1e-9 --theta 1e7,0 --n 3",
+                "DegenerateConfiguration: points are collinear",
+            ),
+            # Gamma(0.001) draws of r^2 underflow to 0 about half the time
+            (
+                "--strategy random-radius --alpha 1e-3 --beta 1 --n 5",
+                "ThetaOutsideRegion: an r^2 draw",
+            ),
+        ],
+    )
+    def test_degenerate_geometry_exit_code(self, argv, error, capsys):
+        rc = main(["attack", "--seed", "3", *argv.split()])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {error}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_sampler_keys_rejected(self, tmp_path, capsys):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"master_seed": 3, "sampler": {"ess_min": 1e9}}))

@@ -1,6 +1,7 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -127,3 +128,75 @@ def test_package_does_not_import_scipy():
         if "import scipy" in line or "from scipy" in line
     ]
     assert hits == []
+
+
+# Exception classes that no CLI command can raise, each with the reason.
+UNREACHABLE_FROM_CLI = {
+    "NonFiniteInit": "raised by inference.rwm_sample, the Metropolis layer no runner calls",
+    "AdaptationFailed": "raised by inference.rwm_sample, the Metropolis layer no runner calls",
+    "MaxStepsExceeded": "raised by trajectory.simulate_exit_offsets, which only a demo runs",
+}
+
+
+def exception_classes(sources: dict[str, str]) -> dict[str, list[str]]:
+    """{class: its bases' names} for every class in the sources that derives,
+    through the others, from a builtin exception."""
+    bases = {
+        node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+        for source in sources.values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def is_exception(name: str) -> bool:
+        if name in bases:
+            return any(is_exception(b) for b in bases[name])
+        builtin = getattr(builtins, name, None)
+        return isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    return {name: parents for name, parents in bases.items() if is_exception(name)}
+
+
+def cli_error_names(source: str) -> set[str]:
+    """The names in the CLI's _CONFIG_ERRORS and _NUMERICAL_ERRORS tuples."""
+    return {
+        elt.id
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id in ("_CONFIG_ERRORS", "_NUMERICAL_ERRORS") for t in node.targets)
+        for elt in node.value.elts
+    }
+
+
+def uncovered_exceptions(sources: dict[str, str], caught: set[str]) -> list[str]:
+    """Exception classes that are not, or derive from none that is, in `caught`."""
+    classes = exception_classes(sources)
+
+    def covered(name: str) -> bool:
+        if name in caught:
+            return True
+        if name in classes:
+            return any(covered(b) for b in classes[name])
+        builtin = getattr(builtins, name, None)
+        return isinstance(builtin, type) and any(
+            issubclass(builtin, getattr(builtins, c)) for c in caught if hasattr(builtins, c)
+        )
+
+    return sorted(name for name in classes if not covered(name))
+
+
+def test_finds_uncovered_exceptions():
+    sources = {
+        "a.py": "class Caught(ValueError): pass\nclass Child(Caught): pass\nclass Lost(RuntimeError): pass\n",
+        "b.py": "class Io(OSError): pass\nclass NotAnError: pass\n",
+    }
+    assert uncovered_exceptions(sources, {"Caught", "OSError"}) == ["Lost"]
+
+
+def test_cli_maps_every_exception_class():
+    # an exception class that the CLI neither maps to exit code 2 or 3 nor
+    # lists as unreachable ends a command in a traceback
+    sources = {str(p): p.read_text() for p in sorted(PACKAGE.rglob("*.py"))}
+    caught = cli_error_names((PACKAGE / "cli.py").read_text())
+    assert {"ConfigError", "DiagnosticsFailed"} <= caught
+    assert uncovered_exceptions(sources, caught) == sorted(UNREACHABLE_FROM_CLI)

@@ -45,7 +45,7 @@ def best(fn, calls):
 def two_balls_stages(spec, n, rng_path, calls):
     obs = generate_observations(ORIGIN, spec, n, derive_rng(*rng_path))
     z, r, R, a, b = obs.positions, spec.r, spec.R, spec.beta.alpha, spec.beta.beta
-    c = inference.recover_center(z, R).center.as_array()
+    (c,) = inference.recover_center(z, R)
     sep = inference._sep_expansion(z, c, r)
     return {
         "generate": best(lambda: generate_observations(ORIGIN, spec, n, derive_rng(*rng_path)), calls),
@@ -69,7 +69,7 @@ def random_radius_stages(spec, n, rng_path, calls):
         raise SystemExit(f"no Laplace fit at n = {n}: the stages need n of about 50 or more")
     mode, cov = fit
     chol = np.linalg.cholesky(cov)
-    half = 1.001 * float(inference._hermite_rule(inference.HERMITE_NODES)[0].max()) * np.abs(chol).sum(axis=1)
+    half = 1.001 * float(inference._hermite_nodes(inference.HERMITE_NODES)[0].max()) * np.abs(chol).sum(axis=1)
     window = (mode[0] - half[0], mode[0] + half[0], mode[1] - half[1], mode[1] + half[1])
     target = inference._rr_target(z, a, b, window)
     out["expansion"] = best(lambda: inference._rr_target(z, a, b, window), calls)

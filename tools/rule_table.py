@@ -104,8 +104,8 @@ def polar_reference(obs, c, N):
 
 
 def reference_mse(obs, theta, N):
-    center = recover_center(obs.positions, obs.strategy.R).center
-    _, mean, cov = polar_reference(obs, center.as_array(), N)
+    (center,) = recover_center(obs.positions, obs.strategy.R)
+    _, mean, cov = polar_reference(obs, center, N)
     return float(((mean - theta) ** 2).sum() + np.trace(cov))
 
 
