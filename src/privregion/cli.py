@@ -22,7 +22,7 @@ from .experiments import (
     run_obfuscate,
     run_table1,
 )
-from .harmonic import PointNotOnBoundary, ThetaOutsideRegion
+from .harmonic import ThetaOutsideRegion
 from .inference import DiagnosticsFailed, InconsistentExits, NoIntersection, attack
 from .strategies import (
     DegenerateVariance,
@@ -41,7 +41,6 @@ _NUMERICAL_ERRORS = (
     InconsistentExits,
     NoIntersection,
     ThetaOutsideRegion,
-    PointNotOnBoundary,
 )
 
 

@@ -96,7 +96,12 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         object.__setattr__(self, "settings", tuple(self.settings))
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
+        object.__setattr__(self, "sample_sizes", tuple(self.sample_sizes))
+        counts = {"n_trajectories": self.n_trajectories, "n_replicates": self.n_replicates, "threads": self.threads}
+        counts.update((f"sample_sizes[{i}]", n) for i, n in enumerate(self.sample_sizes))
+        bad = [f"{k} = {v!r}" for k, v in counts.items() if not isinstance(v, int) or isinstance(v, bool)]
+        if bad:
+            raise ConfigError(f"counts must be integers, got {', '.join(bad)}")
         if not isinstance(self.master_seed, int) or not 0 <= self.master_seed < 2**64:
             raise ConfigError(f"master_seed must be an integer in [0, 2^64), got {self.master_seed!r}")
         if not self.settings:
@@ -175,7 +180,8 @@ def _attack_task(args) -> tuple[float, float, float, float, float]:
     rng = derive_rng(master_seed, *path)
     obs = generate_observations(_ORIGIN, spec, n, rng)
     rep = attack(obs, _ORIGIN, rng)
-    return rep.posterior_mse, rep.bias2, rep.variance, float(obs.sps.mean()), rep.wall_time
+    sps = (obs.positions**2).sum(axis=1)  # |z - theta|^2 at theta = _ORIGIN
+    return rep.posterior_mse, rep.bias2, rep.variance, float(sps.mean()), rep.wall_time
 
 
 def _run_tasks(tasks: list, threads: int) -> list:

@@ -7,10 +7,10 @@ Three ways to choose privacy regions around a home location theta:
 * two-balls: one shared ball B(c, R) per user, c = theta + r rho (cos tau,
   sin tau) with rho^2 ~ Beta(alpha, beta) and tau uniform.
 
-All draws are made in theta-relative coordinates, so shifting theta shifts
-regions, exits, and published tracks rigidly while SP values stay
-bit-identical under the same seed. `sp_cdf` gives each strategy's SP law
-exactly, without drawing.
+All draws are made in theta-relative coordinates and theta is added last,
+so under the same seed the offsets drawn from theta are the same bits at
+every theta, and regions, exits and published tracks shift rigidly with
+it. `sp_cdf` gives each strategy's SP law exactly, without drawing.
 """
 
 from __future__ import annotations
@@ -84,65 +84,28 @@ StrategySpec = FixedRadius | RandomRadius | TwoBalls
 
 @dataclass(frozen=True, eq=False)
 class ExitObservationSet:
-    """What the attacker sees: exit points plus known strategy parameters.
+    """What the attacker sees: the published exit points and the strategy.
 
-    Row i of `positions` (n, 2) is an exit on the boundary of the region
-    with center `centers[i]` (n, 2) and radius `radii[i]` (n,); `sps[i]`
-    (n,) is its squared perturbation. All four are stored as read-only
-    copies. Two-balls exits share one region. Sets compare by identity:
-    field-wise == on arrays has no single truth value.
+    Row i of `positions` (n, 2) is the exit of track i, stored as a
+    read-only copy. The regions the exits left, and theta, stay with the
+    generator and the scorer. Sets compare by identity: field-wise == on
+    arrays has no single truth value.
     """
 
     strategy: StrategySpec
     positions: np.ndarray
-    centers: np.ndarray
-    radii: np.ndarray
-    sps: np.ndarray
 
     def __post_init__(self) -> None:
-        arrays = {
-            name: np.array(getattr(self, name), dtype=float)
-            for name in ("positions", "centers", "radii", "sps")
-        }
-        pos, ctr, radii, sps = arrays.values()
-        n = radii.size
-        if n < 1 or {pos.shape, ctr.shape} != {(n, 2)} or {radii.shape, sps.shape} != {(n,)}:
-            raise ValueError(
-                f"need n >= 1 exits, positions and centers (n, 2), radii and sps (n,), got "
-                f"{pos.shape}, {ctr.shape}, {radii.shape} and {sps.shape}"
-            )
-        if not (all(np.isfinite(a).all() for a in (pos, ctr, radii)) and np.all(radii > 0)):
-            raise ValueError("exit positions, centers and radii must be finite, radii > 0")
-        dist = np.hypot(pos[:, 0] - ctr[:, 0], pos[:, 1] - ctr[:, 1])
-        err = np.abs(dist - radii) - harmonic.BOUNDARY_RTOL * radii
-        off = err > 0.0
-        if off.any():
-            # forming an absolute coordinate (theta plus an offset) rounds it
-            # by up to half an ulp of its size, which a tiny region cannot absorb
-            p, c = pos[off], ctr[off]
-            off[off] = err[off] > np.finfo(float).eps * (np.hypot(p[:, 0], p[:, 1]) + np.hypot(c[:, 0], c[:, 1]))
-        if off.any():
-            i = int(np.argmax(off))
-            raise harmonic.PointNotOnBoundary(
-                f"exit {i} at distance {dist[i]!r} not on boundary of radius {radii[i]!r}"
-            )
-        if isinstance(self.strategy, TwoBalls) and not (
-            np.all(ctr == ctr[0]) and np.all(radii == radii[0])
-        ):
-            raise ValueError("two-balls exits must share one region")
-        for name, arr in arrays.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        pos = np.array(self.positions, dtype=float)
+        if pos.ndim != 2 or pos.shape[0] < 1 or pos.shape[1] != 2:
+            raise ValueError(f"need positions of shape (n, 2) with n >= 1, got {pos.shape}")
+        if not np.isfinite(pos).all():
+            raise ValueError("exit positions must be finite")
+        pos.setflags(write=False)
+        object.__setattr__(self, "positions", pos)
 
     def __len__(self) -> int:
-        return len(self.radii)
-
-    @property
-    def shared_region(self) -> Disk:
-        if not isinstance(self.strategy, TwoBalls):
-            raise TypeError("only two-balls observations share a region")
-        cx, cy = self.centers[0].tolist()
-        return Disk(Point(cx, cy), float(self.radii[0]))
+        return len(self.positions)
 
 
 @dataclass(frozen=True)
@@ -198,22 +161,16 @@ def generate_observations(
     """Exit observations for n tracks of a user living at `theta`.
 
     Two-balls draws ONE shared region and n exits from it; the other
-    strategies draw n independent regions with one exit each. sps[i] is
-    ||z_i - theta||^2, computed in relative coordinates.
+    strategies draw n independent regions with one exit each. Only the
+    exits and `spec` are returned: the regions stay here. The two-balls
+    region is the one that `sample_region` draws from the same stream.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 observations, got {n}")
-    t = as_xy(theta)
-    if isinstance(spec, TwoBalls):
-        offsets, radii = _region_offsets(spec, 1, rng)
-        offsets = np.broadcast_to(offsets, (n, 2))
-        radii = np.broadcast_to(radii, (n,))
-    else:
-        offsets, radii = _region_offsets(spec, n, rng)
+    offsets, radii = _region_offsets(spec, 1 if isinstance(spec, TwoBalls) else n, rng)
     # the path starts at theta, which sits at -offset from each region's center
     rel = offsets + harmonic.sample_exit_offsets(-offsets, radii, n, rng)  # z - theta
-    sps = (rel**2).sum(axis=1)
-    return ExitObservationSet(spec, t + rel, t + offsets, radii, sps)
+    return ExitObservationSet(spec, as_xy(theta) + rel)
 
 
 def sample_sps(spec: StrategySpec, n_draws: int, rng: np.random.Generator) -> np.ndarray:

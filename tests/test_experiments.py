@@ -639,6 +639,25 @@ class TestCli:
         assert main(["calibrate", "--config", str(p)]) == 2
         assert "unknown config keys: ['sampler']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "counts, shown",
+        [
+            ({"n_trajectories": 2.5}, "n_trajectories = 2.5"),
+            ({"n_replicates": 2.5}, "n_replicates = 2.5"),
+            ({"threads": 1.5}, "threads = 1.5"),
+            ({"sample_sizes": [5.7, 10]}, "sample_sizes[0] = 5.7"),
+            ({"n_replicates": True}, "n_replicates = True"),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, counts, shown, tmp_path, capsys):
+        # neither truncated (5.7 would run n = 5, true one replicate) nor
+        # left to fail later in a traceback
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"master_seed": 1, **counts}))
+        assert main(["table1", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: counts must be integers, got {shown}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_obfuscate(self, tmp_path, capsys):
         from privregion.trajectory import write_track
 

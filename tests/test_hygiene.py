@@ -135,6 +135,7 @@ UNREACHABLE_FROM_CLI = {
     "NonFiniteInit": "raised by inference.rwm_sample, the Metropolis layer no runner calls",
     "AdaptationFailed": "raised by inference.rwm_sample, the Metropolis layer no runner calls",
     "MaxStepsExceeded": "raised by trajectory.simulate_exit_offsets, which only a demo runs",
+    "PointNotOnBoundary": "raised by harmonic.harmonic_log_density, which no CLI command calls",
 }
 
 

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -11,7 +12,7 @@ from scipy.special import betaln, roots_jacobi
 
 from privregion import inference
 from privregion.core import BetaParams, GammaParams, Point, derive_rng, hermegauss, jacobi_rule, make_rng
-from privregion.experiments import TABLE1_SETTINGS
+from privregion.experiments import TABLE1_SETTINGS, setting_tag
 from privregion.harmonic import harmonic_log_density
 from privregion.inference import (
     AdaptationFailed,
@@ -39,7 +40,9 @@ from privregion.strategies import (
     TwoBalls,
     calibrate_random_radius,
     generate_observations,
+    sample_region,
 )
+from privregion.trajectory import default_exit_dt, simulate_exit_offsets
 
 TB_MAIN = TwoBalls(1.0, 3.0, BetaParams(4.0, 4.0))
 RR_MAIN = RandomRadius(GammaParams(4.0, 4.0))
@@ -53,13 +56,14 @@ def support_square(c: Point, r: float):
 
 
 def rr_obs_at(positions, gamma=GammaParams(1.0, 1.0)):
-    """Observation set with prescribed exit positions, each on a region
-    centered at the origin (or at (1, 0) for an exit at the origin)."""
-    pts = np.atleast_2d(np.asarray(positions, dtype=float))
-    sps = (pts**2).sum(axis=1)
-    centers = np.where(sps[:, None] > 0, 0.0, [1.0, 0.0])
-    radii = np.hypot(*(pts - centers).T)
-    return ExitObservationSet(RandomRadius(gamma), pts, centers, radii, sps)
+    """Random-radius observation set with prescribed exit positions."""
+    return ExitObservationSet(RandomRadius(gamma), np.atleast_2d(positions))
+
+
+def tb_region(theta, spec, rng):
+    """The shared region that generate_observations(theta, spec, n, rng)
+    draws: sample_region's draw from a copy of the same stream."""
+    return sample_region(theta, spec, copy.deepcopy(rng))
 
 
 class TestRecoverCenter:
@@ -71,9 +75,9 @@ class TestRecoverCenter:
         assert math.dist(est[0], (3.0, 4.0)) < 1e-9
 
     def test_many_exits_unique(self, rng):
+        true_c = tb_region(ORIGIN, TB_MAIN, rng).center
         obs = generate_observations(ORIGIN, TB_MAIN, 50, rng)
         est = recover_center(obs.positions, TB_MAIN.R)
-        true_c = obs.shared_region.center
         assert est.shape == (1, 2)
         assert math.dist(est[0], (true_c.x, true_c.y)) < 1e-9
 
@@ -148,11 +152,13 @@ class TestRrLogPosterior:
 
 class TestTbLogPosterior:
     def _obs(self, rng, n=4):
-        return generate_observations(ORIGIN, TB_MAIN, n, rng)
+        """Observations and the shared region they were drawn from."""
+        region = tb_region(ORIGIN, TB_MAIN, rng)
+        return generate_observations(ORIGIN, TB_MAIN, n, rng), region
 
     def test_support_is_open_disk(self, rng):
-        obs = self._obs(rng)
-        c = obs.shared_region.center
+        obs, region = self._obs(rng)
+        c = region.center
         inside = np.array([[c.x + 0.5, c.y]])
         outside = np.array([[c.x + 1.5, c.y], [c.x, c.y - 1.0001]])
         assert np.isfinite(tb_log_posterior(inside, c, obs)).all()
@@ -161,8 +167,7 @@ class TestTbLogPosterior:
     def test_matches_prior_times_exit_law(self, rng):
         # route A: the implementation; route B: scipy's Beta density plus
         # the harmonic module's own log density, assembled by hand
-        obs = self._obs(rng, n=3)
-        region = obs.shared_region
+        obs, region = self._obs(rng, n=3)
         c = region.center
         spec = obs.strategy
         for off in ([0.3, 0.2], [-0.7, 0.1], [0.0, 0.05]):
@@ -176,8 +181,8 @@ class TestTbLogPosterior:
 
     def test_uniform_center_prior_is_flat(self, rng):
         spec = TwoBalls(1.0, 3.0, BetaParams(1.0, 1.0))
+        region = tb_region(ORIGIN, spec, rng)
         obs = generate_observations(ORIGIN, spec, 3, rng)
-        region = obs.shared_region
         c = region.center
         vals = []
         for off in ([0.2, 0.0], [-0.3, 0.55], [0.0, -0.9]):
@@ -189,8 +194,8 @@ class TestTbLogPosterior:
     def test_prior_integrates_to_one(self, rng):
         # extract the prior factor and integrate it in polar coordinates
         spec = TwoBalls(2.0, 5.0, BetaParams(2.5, 3.5))
+        region = tb_region(ORIGIN, spec, rng)
         obs = generate_observations(ORIGIN, spec, 2, rng)
-        region = obs.shared_region
         c = region.center
         rho = np.linspace(0.0, spec.r, 20_001)[1:-1]
         thetas = np.column_stack([c.x + rho, np.full_like(rho, c.y)])
@@ -283,8 +288,8 @@ class TestPoissonKernelSeries:
         # n = 200 > K = 43 at r/R = 0.4: the series path against the
         # harmonic module's own exit density, term by term
         spec = TwoBalls(2.0, 5.0, BetaParams(4.0, 4.0))
+        region = tb_region(ORIGIN, spec, rng)
         obs = generate_observations(ORIGIN, spec, 200, rng)
-        region = obs.shared_region
         c = region.center
         for off in ([0.3, 0.2], [-1.7, 0.1], [0.0, 1.95]):
             theta = Point(c.x + off[0], c.y + off[1])
@@ -587,10 +592,9 @@ class TestGridPosterior:
         # two-balls grid with near exits (r/R = 0.8), at the default block
         # size against blocks of one point and of 7 points: bit for bit
         rr_obs = generate_observations(ORIGIN, RR_MAIN, 1600, make_rng(4))
-        tb_obs = generate_observations(
-            ORIGIN, TwoBalls(2.4, 3.0, BetaParams(4.0, 4.0)), 300, make_rng(5)
-        )
-        c = tb_obs.shared_region.center
+        tb_spec = TwoBalls(2.4, 3.0, BetaParams(4.0, 4.0))
+        tb_obs = generate_observations(ORIGIN, tb_spec, 300, make_rng(5))
+        c = sample_region(ORIGIN, tb_spec, make_rng(5)).center
         grids = (
             (lambda p: rr_log_posterior(p, rr_obs), quadrature_window(rr_obs)),
             (lambda p: tb_log_posterior(p, c, tb_obs), support_square(c, tb_obs.strategy.r)),
@@ -637,7 +641,7 @@ class TestGridPosterior:
 
         rr = generate_observations(ORIGIN, RR_MAIN, 1600, make_rng(17))
         tb = generate_observations(ORIGIN, TB_MAIN, 1600, make_rng(17))
-        c = tb.shared_region.center
+        c = sample_region(ORIGIN, TB_MAIN, make_rng(17)).center
         runs = {
             "rr attack": lambda: attack(rr, ORIGIN, None),
             "tb attack": lambda: attack(tb, ORIGIN, None),
@@ -1000,10 +1004,54 @@ class TestAttackTwoBalls:
         a = np.array([0.0, 2.0, 4.0])
         z = 3.0 * np.column_stack([np.cos(a), np.sin(a)])
         # lie about the radius the attacker assumes
-        spec = TwoBalls(1.0, 2.5, BetaParams(4.0, 4.0))
-        obs = ExitObservationSet(spec, z, np.zeros((3, 2)), np.full(3, 3.0), np.full(3, 9.0))
+        obs = ExitObservationSet(TwoBalls(1.0, 2.5, BetaParams(4.0, 4.0)), z)
         with pytest.raises(InconsistentExits):
             attack(obs, ORIGIN, rng)
+
+
+class TestOffCircleExits:
+    """Exits as a discrete track publishes them: the first sample outside
+    its region, past the circle by an overshoot of order sqrt(dt), drawn
+    by trajectory.simulate_exit_offsets at trajectory.default_exit_dt."""
+
+    @staticmethod
+    def first_outside(center, radius, n, rng):
+        """n first-outside samples of walks from the origin (theta) out of
+        B(center, radius), in theta-relative coordinates."""
+        radii = np.broadcast_to(radius, (n,))
+        start = np.broadcast_to(-np.asarray(center, dtype=float), (n, 2))
+        dts = default_exit_dt(radii, 1.0)
+        return center + simulate_exit_offsets(start, radii, 1.0, dts, 200_000, rng)
+
+    def test_random_radius_attack_near_projected_exits(self):
+        # the attack on the samples lands near the attack on their radial
+        # projections onto the true circles. Measured at these seeds: the
+        # overshoot reaches 3.5e-2 r and the relative MSE gap 4.4e-2
+        overshoot, gaps = [], []
+        for k, tag in enumerate(("r1-R3-a4-b4", "r1-R5-a2-b4")):
+            (tb,) = [s for s in TABLE1_SETTINGS if setting_tag(s) == tag]
+            g = calibrate_random_radius(tb).matched_gamma
+            for rep in range(3):
+                rng = derive_rng(26, k, rep)
+                radii = np.sqrt(rng.gamma(g.alpha, 1.0 / g.beta, size=50))
+                z = self.first_outside(np.zeros((50, 2)), radii, 50, rng)
+                d = np.hypot(*z.T)
+                overshoot.append(((d - radii) / radii).max())
+                off = attack(ExitObservationSet(RandomRadius(g), z), ORIGIN, None)
+                on = attack(ExitObservationSet(RandomRadius(g), z * (radii / d)[:, None]), ORIGIN, None)
+                assert np.isfinite([off.posterior_mse, off.bias2, off.variance]).all()
+                gaps.append(abs(off.posterior_mse - on.posterior_mse) / on.posterior_mse)
+        assert 0.0 < min(overshoot) and max(overshoot) < 0.05
+        assert max(gaps) < 0.15, gaps
+
+    def test_two_balls_exits_off_their_circle_are_inconsistent(self):
+        # no circle of radius R passes through first-outside samples, so
+        # center recovery refuses them
+        rng = derive_rng(26, 2)
+        region = sample_region(ORIGIN, TB_MAIN, rng)
+        z = self.first_outside(region.center.as_array(), TB_MAIN.R, 50, rng)
+        with pytest.raises(InconsistentExits):
+            attack(ExitObservationSet(TB_MAIN, z), ORIGIN, None)
 
 
 def _polar_reference(obs, c, N=256):
@@ -1040,7 +1088,7 @@ def _reference_tb(obs, theta, N=256):
     if len(obs) == 1:
         # one exit: the offset from the center, as the attack integrates it
         R = spec.R
-        one = ExitObservationSet(spec, [[-R, 0.0]], [[0.0, 0.0]], [R], [R * R])
+        one = ExitObservationSet(spec, [[-R, 0.0]])
         _, m, cov = _polar_reference(one, np.zeros(2))
         var = float((m[0] + R) ** 2 + m[1] ** 2 + np.trace(cov))
         return float(((obs.positions[0] - theta) ** 2).sum()) + var, var

@@ -1,5 +1,7 @@
+import copy
 import math
 import warnings
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +12,8 @@ from scipy import integrate, special, stats
 
 from privregion import strategies
 from privregion.core import BetaParams, Disk, GammaParams, Point, derive_rng, gammainc, make_rng
-from privregion.experiments import TABLE1_SETTINGS, setting_tag
-from privregion.harmonic import PointNotOnBoundary, sample_exit_offsets
+from privregion.experiments import TABLE1_SETTINGS, _attack_task, setting_tag
+from privregion.harmonic import BOUNDARY_RTOL, sample_exit_offsets
 from privregion.strategies import (
     CalibrationResult,
     DegenerateVariance,
@@ -33,6 +35,24 @@ RR_MAIN = RandomRadius(GammaParams(4.0, 4.0))
 ORIGIN = Point(0.0, 0.0)
 
 
+def drawn_regions(theta, spec, n, rng):
+    """Centers (k, 2) and radii (k,) of the regions that
+    generate_observations(theta, spec, n, rng) draws, as sample_region
+    draws them from the same stream: one shared region for two-balls, n
+    for the others. `rng` moves on as generate_observations' would."""
+    k = 1 if isinstance(spec, TwoBalls) else n
+    regions = [sample_region(theta, spec, rng) for _ in range(k)]
+    return np.array([d.center.as_array() for d in regions]), np.array([d.radius for d in regions])
+
+
+def boundary_excess(positions, centers, radii):
+    """How far each exit is off its circle beyond BOUNDARY_RTOL and the
+    rounding of its and the center's absolute coordinates: <= 0 on it."""
+    dist = np.hypot(*(positions - centers).T)
+    rounding = np.finfo(float).eps * (np.hypot(*positions.T) + np.hypot(*centers.T))
+    return np.abs(dist - radii) - BOUNDARY_RTOL * radii - rounding
+
+
 class TestSpecValidation:
     def test_fixed_radius_positive(self):
         FixedRadius(0.5)
@@ -47,59 +67,41 @@ class TestSpecValidation:
 
     def test_observation_set_shapes(self):
         z = np.array([[1.0, 0.0]])
-        c = np.zeros((1, 2))
-        ExitObservationSet(FixedRadius(1.0), z, c, [1.0], [1.0])
-        with pytest.raises(ValueError):
-            ExitObservationSet(FixedRadius(1.0), z, c, [1.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            ExitObservationSet(FixedRadius(1.0), z, c, [1.0, 1.0], [1.0])
-        with pytest.raises(ValueError):
-            ExitObservationSet(FixedRadius(1.0), z, np.zeros(2), [1.0], [1.0])
-        with pytest.raises(ValueError):
-            ExitObservationSet(FixedRadius(1.0), z.T, c, [1.0], [1.0])
-        with pytest.raises(ValueError):
-            ExitObservationSet(FixedRadius(1.0), np.zeros((0, 2)), np.zeros((0, 2)), [], [])
+        assert len(ExitObservationSet(FixedRadius(1.0), z)) == 1
+        assert len(ExitObservationSet(FixedRadius(1.0), [[1.0, 0.0], [0.0, 2.0]])) == 2
+        for bad in (z.T, z[0], np.zeros((0, 2)), np.zeros((1, 3)), np.zeros((1, 2, 1))):
+            with pytest.raises(ValueError, match="shape"):
+                ExitObservationSet(FixedRadius(1.0), bad)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ExitObservationSet(FixedRadius(1.0), [[1.0, 0.0], [bad, 0.0]])
 
-    def test_off_circle_exit_refused(self):
-        # exits must lie on their region's boundary within BOUNDARY_RTOL
-        c = np.zeros((3, 2))
-        on = np.array([[1.0, 0.0], [0.0, 2.0], [-1.0, 0.0]])
-        radii = np.array([1.0, 2.0, 1.0])
-        ExitObservationSet(RR_MAIN, on, c, radii, (on**2).sum(axis=1))
-        for z in ([0.0, 1.9], [0.0, 2.1]):
-            off = on.copy()
-            off[1] = z
-            with pytest.raises(PointNotOnBoundary, match="exit 1"):
-                ExitObservationSet(RR_MAIN, off, c, radii, (off**2).sum(axis=1))
+    def test_off_circle_exits_accepted(self):
+        # the set holds what the attacker sees, so it cannot know the
+        # circles: a first-outside sample past its circle is a valid exit
+        obs = ExitObservationSet(RR_MAIN, [[1.0, 0.0], [0.0, 2.1], [-0.9, 0.0]])
+        assert np.array_equal(obs.positions, [[1.0, 0.0], [0.0, 2.1], [-0.9, 0.0]])
+        assert [f.name for f in fields(ExitObservationSet)] == ["strategy", "positions"]
 
     def test_tiny_regions_away_from_origin_build(self):
         # Gamma shape 0.108 (matched to (2.9, 3, 4, 0.5)) draws radii far
-        # below the rounding of |theta|; their exits, placed exactly in
-        # theta-relative coordinates, must not be refused once theta is
-        # added (148 of 200 draws were at (3, 4), 181 at (100, 0))
+        # below the rounding of |theta|; exits placed exactly in
+        # theta-relative coordinates stay on their circles within
+        # BOUNDARY_RTOL once theta is added, up to that rounding. Without
+        # the rounding term, 148 of the 200 replicates at (3, 4) and 181 at
+        # (100, 0) would have an exit off its circle
         spec = RandomRadius(calibrate_random_radius(TwoBalls(2.9, 3.0, BetaParams(4.0, 0.5))).matched_gamma)
         for theta in (Point(3.0, 4.0), Point(100.0, 0.0)):
             for rep in range(200):
-                generate_observations(theta, spec, 50, derive_rng(1, rep))
-        # an exit moved off its circle by 1e-6 of its radius still is
-        obs = generate_observations(Point(100.0, 0.0), spec, 50, derive_rng(1, 0))
-        i = int(np.argmax(obs.radii))
+                rng = derive_rng(1, rep)
+                centers, radii = drawn_regions(theta, spec, 50, copy.deepcopy(rng))
+                obs = generate_observations(theta, spec, 50, rng)
+                assert boundary_excess(obs.positions, centers, radii).max() <= 0.0
+        # an exit moved off its circle by 1e-6 of its radius is not within that
+        i = int(np.argmax(radii))
         pos = obs.positions.copy()
-        pos[i] += 1e-6 * (pos[i] - obs.centers[i])
-        with pytest.raises(PointNotOnBoundary, match=f"exit {i}"):
-            ExitObservationSet(spec, pos, obs.centers, obs.radii, obs.sps)
-
-    def test_two_balls_exits_share_region(self):
-        z = np.array([[3.0, 0.0], [3.1, 0.0]])
-        with pytest.raises(ValueError, match="share"):
-            ExitObservationSet(TB_MAIN, z, [[0.0, 0.0], [0.1, 0.0]], [3.0, 3.0], [9.0, 9.61])
-        with pytest.raises(ValueError, match="share"):
-            ExitObservationSet(TB_MAIN, z, [[0.0, 0.0], [0.0, 0.0]], [3.0, 3.1], [9.0, 9.61])
-
-    def test_sps_read_only(self, rng):
-        obs = generate_observations(ORIGIN, RR_MAIN, 5, rng)
-        with pytest.raises(ValueError):
-            obs.sps[0] = 0.0
+        pos[i] += 1e-6 * (pos[i] - centers[i])
+        assert np.flatnonzero(boundary_excess(pos, centers, radii) > 0.0).tolist() == [i]
 
     def test_positions_stored_once_read_only(self, rng):
         theta = Point(2.0, -1.0)
@@ -112,22 +114,15 @@ class TestSpecValidation:
         radii = np.sqrt(rng.gamma(4.0, 0.25, size=5))
         rel = sample_exit_offsets(np.zeros((5, 2)), radii, 5, rng)
         assert np.array_equal(pos, theta.as_array() + rel)
-        assert np.array_equal(obs.radii, radii)
-        for arr in (obs.positions, obs.centers, obs.radii, obs.sps):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+        assert not pos.flags.writeable
+        with pytest.raises(ValueError):
+            pos[0] = 0.0
 
     def test_inputs_are_copied(self):
         z = np.array([[1.0, 0.0]])
-        obs = ExitObservationSet(FixedRadius(1.0), z, np.zeros((1, 2)), [1.0], [1.0])
+        obs = ExitObservationSet(FixedRadius(1.0), z)
         z[0, 0] = 5.0
         assert obs.positions[0, 0] == 1.0 and z.flags.writeable
-
-    def test_shared_region_only_for_two_balls(self, rng):
-        obs = generate_observations(ORIGIN, RR_MAIN, 3, rng)
-        with pytest.raises(TypeError):
-            _ = obs.shared_region
 
 
 class TestSampleRegion:
@@ -168,42 +163,54 @@ class TestGenerateObservations:
         obs = generate_observations(Point(1.0, 2.0), FixedRadius(0.5), 20, rng)
         d = np.hypot(obs.positions[:, 0] - 1.0, obs.positions[:, 1] - 2.0)
         assert np.allclose(d, 0.5, rtol=1e-12)
-        assert np.allclose(obs.sps, 0.25, rtol=1e-12)
 
-    def test_sps_match_positions(self, rng):
-        theta = Point(3.0, -1.0)
-        for spec in (RR_MAIN, TB_MAIN, FixedRadius(1.2)):
+    @pytest.mark.parametrize("spec", [RR_MAIN, TB_MAIN, FixedRadius(1.2)], ids=lambda s: type(s).__name__)
+    @pytest.mark.parametrize(
+        "theta", [ORIGIN, Point(3.0, -1.0), Point(3.0, 4.0), Point(100.0, 0.0)], ids=lambda t: f"{t.x:g},{t.y:g}"
+    )
+    def test_exits_lie_on_drawn_regions(self, spec, theta):
+        # the regions are sample_region's draws from the same stream, and
+        # every exit lies on its region's circle
+        for rep in range(20):
+            rng = derive_rng(2, rep)
+            centers, radii = drawn_regions(theta, spec, 50, copy.deepcopy(rng))
             obs = generate_observations(theta, spec, 50, rng)
-            sq = ((obs.positions - [3.0, -1.0]) ** 2).sum(axis=1)
-            assert np.allclose(obs.sps, sq, rtol=1e-9)
+            assert boundary_excess(obs.positions, centers, radii).max() <= 0.0
+
+    def test_sps_match_positions(self):
+        # the study's SP column is the mean of |z - theta|^2 at theta = 0:
+        # bit for bit the mean of the squared offsets drawn from theta
+        n, path = 40, (1, 0, 0, 3)
+        for spec in (RR_MAIN, TB_MAIN, FixedRadius(1.2)):
+            rng = derive_rng(7, *path)
+            centers, radii = drawn_regions(ORIGIN, spec, n, rng)
+            rel = centers + sample_exit_offsets(-centers, radii, n, rng)
+            assert _attack_task((7, path, spec, n))[3] == float((rel**2).sum(axis=1).mean())
 
     def test_two_balls_share_one_region(self, rng):
+        (center,), (radius,) = drawn_regions(ORIGIN, TB_MAIN, 40, copy.deepcopy(rng))
         obs = generate_observations(ORIGIN, TB_MAIN, 40, rng)
-        region = obs.shared_region
-        assert np.all(obs.centers == region.center.as_array())
-        assert np.all(obs.radii == region.radius)
-        d = np.hypot(
-            obs.positions[:, 0] - region.center.x, obs.positions[:, 1] - region.center.y
-        )
-        assert np.allclose(d, region.radius, rtol=1e-9)
+        assert np.allclose(np.hypot(*(obs.positions - center).T), radius, rtol=1e-9)
 
     def test_random_radius_regions_independent(self, rng):
-        obs = generate_observations(ORIGIN, RR_MAIN, 30, rng)
-        assert len(set(obs.radii.tolist())) == 30
-        assert np.all(obs.centers == 0.0)
+        centers, radii = drawn_regions(ORIGIN, RR_MAIN, 30, rng)
+        assert len(set(radii.tolist())) == 30
+        assert np.all(centers == 0.0)
 
     def test_rr_sps_are_gamma(self, rng):
         obs = generate_observations(ORIGIN, RR_MAIN, 10_000, rng)
-        res = stats.kstest(obs.sps, stats.gamma(a=4.0, scale=0.25).cdf)
+        res = stats.kstest((obs.positions**2).sum(axis=1), stats.gamma(a=4.0, scale=0.25).cdf)
         assert res.pvalue > 0.01
 
     def test_translation_leaves_sps_bit_identical(self):
+        # the offsets from theta are drawn before theta is added, so the
+        # exits at any theta are theta plus the exits at the origin, and the
+        # SPs |z - theta|^2 formed from those offsets are the same bits
         far = Point(1e4, -2e4)
         for spec in (RR_MAIN, TB_MAIN, FixedRadius(2.0)):
             a = generate_observations(ORIGIN, spec, 100, make_rng(5))
             b = generate_observations(far, spec, 100, make_rng(5))
-            assert np.array_equal(a.sps, b.sps)
-            assert np.allclose(b.positions - a.positions, [1e4, -2e4], rtol=0.0, atol=1e-8)
+            assert np.array_equal(b.positions, far.as_array() + a.positions)
 
     def test_theta_always_strictly_inside_region(self, rng):
         for _ in range(2000):
